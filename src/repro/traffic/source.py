@@ -37,9 +37,10 @@ class Source:
 
     * the classic path — every emission event calls :meth:`next_gap` to
       compute the next one (virtual dispatch + RNG machinery per packet);
-    * the *timetable* path — arrival offsets are precomputed in chunks of
-      :attr:`TIMETABLE_CHUNK` (see :meth:`_next_times`) and each emission
-      event just reads the next absolute time from the array.
+    * the *timetable* path — arrival times are precomputed in chunks that
+      double from 1 up to :attr:`TIMETABLE_CHUNK` (see :meth:`_next_times`)
+      and each emission event just reads the next absolute time from the
+      array.
 
     The timetable replicates the classic path's arithmetic operation for
     operation (same floating-point chaining, same RNG draw order), so the
@@ -49,7 +50,7 @@ class Source:
     emission time.
     """
 
-    #: Chunk size of the precomputed-arrival fast path; 0 selects the
+    #: Largest refill of the precomputed-arrival fast path; 0 selects the
     #: classic per-packet ``next_gap()`` path.
     TIMETABLE_CHUNK = 0
 
@@ -126,21 +127,26 @@ class Source:
     def _emit_timetable(self):
         """Emit one packet now; the next time comes from the chunk buffer.
 
+        Refills are sized to demand: the first draws one arrival and each
+        later one twice the previous, capped at :attr:`TIMETABLE_CHUNK`,
+        so a source never holds more than twice what it has emitted.
         Same ``_pending`` discipline as :meth:`_emit` — the handle is
-        re-armed or cleared on every exit.
+        re-armed or cleared on every exit, and a stopped source frees its
+        timetable.
         """
         now = self.sim.now
         if self.stop_time is not None and now >= self.stop_time:
             self._pending = None
+            self._timetable = ()
             return
         self._send_packet(now)
         i = self._timetable_idx
         times = self._timetable
         if i >= len(times):
             times = self._timetable = self._next_times(
-                now, self.TIMETABLE_CHUNK)
+                now, min(2 * len(times) or 1, self.TIMETABLE_CHUNK))
             i = 0
-            if not times:
+            if not times:  # ran dry: the empty refill replaced the table
                 self._pending = None
                 return
         self._timetable_idx = i + 1
@@ -209,8 +215,9 @@ class Source:
             "packets_sent": self.packets_sent,
             "bits_sent": self.bits_sent,
             "pending_time": pending_time,
-            "timetable": list(self._timetable),
-            "timetable_idx": self._timetable_idx,
+            # Only the unconsumed tail: emitted arrivals are history.
+            "timetable": list(self._timetable[self._timetable_idx:]),
+            "timetable_idx": 0,
             "extra": self._snapshot_extra(),
         }
         rng = getattr(self, "_rng", None)
@@ -232,8 +239,10 @@ class Source:
             raise ConfigurationError("attach(sim, link) before restore()")
         self.packets_sent = snap["packets_sent"]
         self.bits_sent = snap["bits_sent"]
-        self._timetable = list(snap["timetable"])
-        self._timetable_idx = snap["timetable_idx"]
+        # Older snapshots hold the whole timetable plus a cursor; keep
+        # only the tail either way.
+        self._timetable = list(snap["timetable"][snap["timetable_idx"]:])
+        self._timetable_idx = 0
         rng_state = snap.get("rng")
         if rng_state is not None:
             self._rng.setstate(rng_state)
@@ -455,6 +464,10 @@ class PacketTrainSource(Source):
             raise ConfigurationError("train_length must be >= 1")
         if train_interval <= 0 or line_rate <= 0:
             raise ConfigurationError("invalid train interval or line rate")
+        if train_interval - (train_length - 1) * packet_length / line_rate <= 0:
+            raise ConfigurationError(
+                "train_interval shorter than the train itself"
+            )
         self.train_length = train_length
         self.train_interval = train_interval
         self.line_rate = line_rate
@@ -468,10 +481,6 @@ class PacketTrainSource(Source):
             return self.packet_length / self.line_rate
         self._position = 0
         gap = self.train_interval - (self.train_length - 1) * self.packet_length / self.line_rate
-        if gap <= 0:
-            raise ConfigurationError(
-                "train_interval shorter than the train itself"
-            )
         if self._rng is not None and self.jitter > 0:
             gap += self._rng.uniform(-self.jitter, self.jitter)
             gap = max(gap, 0.0)

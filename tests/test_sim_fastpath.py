@@ -328,6 +328,119 @@ class TestTimetableEquivalence:
         assert len(fast) > CBRSource.TIMETABLE_CHUNK * 2
         assert fast == classic
 
+    def test_sparse_poisson_sources(self):
+        # Many sources emitting one to three packets each: the regime
+        # where demand-sized refills draw far fewer arrivals than a chunk.
+        def run(cls):
+            sim = Simulator()
+            collector = self._Collector(sim)
+            sources = [cls(f"s{k}", 5e4, 1000.0, seed=k,
+                           start_time=0.0001 * k, stop_time=0.05)
+                       for k in range(300)]
+            for src in sources:
+                src.attach(sim, collector).start()
+            sim.run()  # to the end: every source reaches its stop
+            return collector.sent, sources
+
+        fast, sources = run(PoissonSource)
+        classic, _ = run(self._classic(PoissonSource))
+        assert fast == classic
+        per_source = len(fast) / len(sources)
+        assert 1 <= per_source <= 3
+        # Stopped sources hold no arrivals.
+        assert all(src._timetable == () for src in sources)
+
+    @pytest.mark.parametrize("cls, kwargs", [
+        (CBRSource, dict(rate=1e6, packet_length=1000.0)),
+        (PoissonSource, dict(rate=1e6, packet_length=1000.0, seed=3)),
+        (OnOffSource, dict(peak_rate=1e6, packet_length=1000.0,
+                           on_duration=0.0315, off_duration=0.0185)),
+        (PacketTrainSource, dict(packet_length=1000.0, train_length=7,
+                                 train_interval=0.01, line_rate=1e7,
+                                 jitter=0.001, jitter_seed=9)),
+    ], ids=["cbr", "poisson", "onoff", "train"])
+    def test_refills_double_up_to_the_cap(self, cls, kwargs):
+        # A dense source crosses every refill size 1, 2, 4, ..., cap and
+        # then stays at the cap, with the classic path's arrivals.
+        sizes = []
+
+        class Recording(cls):
+            def _next_times(self, now, n):
+                sizes.append(n)
+                return super()._next_times(now, n)
+
+        fast = self._arrivals(lambda: Recording("x", **kwargs))
+        classic = self._arrivals(lambda: self._classic(cls)("x", **kwargs))
+        cap = cls.TIMETABLE_CHUNK
+        growth = [1 << k for k in range(cap.bit_length())]
+        assert growth[-1] == cap
+        assert sizes[:len(growth)] == growth
+        assert set(sizes[len(growth):]) == {cap}
+        assert len(fast) > 2 * cap
+        assert fast == classic
+
+    def test_overdraw_bound(self):
+        # At no point does a source hold more than twice what it emitted,
+        # and in total it never draws more than that either.
+        violations = []
+        drawn = {}
+
+        class Probed(PoissonSource):
+            def _next_times(self, now, n):
+                out = super()._next_times(now, n)
+                drawn[self.flow_id] = drawn.get(self.flow_id, 0) + len(out)
+                return out
+
+            def _emit_timetable(self):
+                super()._emit_timetable()
+                bound = max(1, 2 * self.packets_sent)
+                if (len(self._timetable) > bound
+                        or drawn.get(self.flow_id, 0) > bound):
+                    violations.append((self.flow_id, self.packets_sent))
+
+        sim = Simulator()
+        collector = self._Collector(sim)
+        sources = [Probed(f"s{k}", rate, 1000.0, seed=k, stop_time=0.6)
+                   for k, rate in enumerate([2e3, 5e4, 1e6, 3e6])]
+        for src in sources:
+            src.attach(sim, collector).start()
+        sim.run()
+        assert violations == []
+        assert sources[-1].packets_sent > 2 * PoissonSource.TIMETABLE_CHUNK
+        assert all(src._timetable == () for src in sources)
+
+    @pytest.mark.parametrize("make", [
+        lambda: PoissonSource("x", 1e5, 1000.0, seed=5, stop_time=0.5),
+        lambda: PacketTrainSource("x", 1000.0, train_length=5,
+                                  train_interval=0.004, line_rate=1e7,
+                                  jitter=0.001, jitter_seed=2),
+        lambda: CBRSource("x", 2e5, 1000.0, start_time=0.0003),
+    ], ids=["poisson", "train", "cbr"])
+    @pytest.mark.parametrize("legacy", [False, True], ids=["tail", "legacy"])
+    def test_snapshot_restore_during_growth(self, make, legacy):
+        whole = self._arrivals(make, duration=0.5)
+        times = [t for *_rest, t in whole]
+        for k in (0, 1, 2, 4, 7, 30):
+            cut = (times[k] + times[k + 1]) / 2
+            sim = Simulator()
+            first = self._Collector(sim)
+            src = make()
+            src.attach(sim, first).start()
+            sim.run(until=cut)
+            snap = src.snapshot()
+            assert snap["timetable_idx"] == 0
+            assert len(snap["timetable"]) == (
+                len(src._timetable) - src._timetable_idx)
+            if legacy:
+                # The pre-tail shape: whole timetable plus its cursor.
+                snap = dict(snap, timetable=list(src._timetable),
+                            timetable_idx=src._timetable_idx)
+            sim2 = Simulator()
+            second = self._Collector(sim2)
+            make().attach(sim2, second).restore(snap)
+            sim2.run(until=0.5)
+            assert first.sent + second.sent == whole, k
+
 
 class TestDrainBoundaries:
     """Targeted edge cases for the drain's engage/disengage conditions."""

@@ -189,12 +189,14 @@ class TestPacketTrain:
         assert src.average_rate == pytest.approx(50_000)
 
     def test_interval_too_short_rejected(self):
-        src = PacketTrainSource("f", 1000, train_length=100,
-                                train_interval=0.01, line_rate=1e4)
-        sim, link, _ = harness()
-        src.attach(sim, link).start()
+        # Rejected at construction, before any packet is sent.
         with pytest.raises(ConfigurationError):
-            sim.run(until=10)
+            PacketTrainSource("f", 1000, train_length=100,
+                              train_interval=0.01, line_rate=1e4)
+        # A train that exactly fills its interval leaves no idle gap.
+        with pytest.raises(ConfigurationError):
+            PacketTrainSource("f", 1000, train_length=11,
+                              train_interval=1.0, line_rate=1e4)
 
     def test_jitter_reproducible(self):
         def times(seed):
