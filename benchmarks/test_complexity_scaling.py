@@ -14,28 +14,25 @@ harness (best-of-repeats wall-clock timing):
   session-empty events (surfaced with the all-sessions-drain-at-once
   workload; recorded, sanity-checked only).
 
-The measured points are written both as plot series
-(``benchmarks/results/complexity_*.txt``) and as a bench JSON document
-(``benchmarks/results/BENCH_core.json``, same schema as the committed
-repo-root baseline) so local runs can be diffed against it with
-``python -m repro bench --compare``.
+The measured points are written as plot series
+(``benchmarks/results/complexity_*.txt``).  The one bench baseline is the
+repo-root ``BENCH_core.json``, whose ``saturated_churn`` and
+``bursty_onoff`` families run the same drivers; diff a fresh run against
+it with ``python -m repro bench --compare BENCH_core.json``.
 
 pytest-benchmark times the WF2Q+ steady-state path directly (the one
 true micro-benchmark in the suite).
 """
 
-import os
 import time
 
-from repro.bench import BenchPoint, format_table, save
+from repro.bench import BenchPoint, format_table
 from repro.bench.harness import best_of
 from repro.bench.scenarios import bursty_cost, churn_cost
 from repro.core.packet import Packet
 from repro.core.scfq import SCFQScheduler
 from repro.core.wf2qplus import WF2QPlusScheduler
 from repro.core.wfq import WFQScheduler
-
-RESULTS_DIR = os.path.join(os.path.dirname(__file__), "results")
 
 SIZES = (16, 64, 256, 1024)
 
@@ -67,7 +64,6 @@ def test_wf2qplus_scaling_is_sublinear(benchmark, results_writer):
         "# WF2Q+ per-packet cost vs N (nanoseconds)",
         *(f"{p.params['flows']:5d} {p.ns_per_packet:.3e}" for p in points),
     ])
-    save(points, os.path.join(RESULTS_DIR, "BENCH_core.json"))
     print(format_table(points))
     # Ratio-based, CI-safe: 64x more flows must cost far less than 64x
     # per packet (log-ish growth; 8x leaves room for timer noise while

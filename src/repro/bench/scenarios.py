@@ -31,13 +31,6 @@ The scenarios target the hot paths this repo optimises:
     event-elision/burst-drain fast path targets: cost here is event-loop
     + source + link overhead *around* the scheduler, not just tag
     arithmetic.
-``event_engine``
-    The pending-event structures head to head — heap vs calendar queue,
-    each with and without the ``+pool`` free lists — on a pure
-    timer-churn shape (large steady pending set, where the calendar's
-    O(1) bucket operations beat the heap's O(log n) sift) and on the
-    ``sim_pipeline`` cbr workload (small pending set, where parity is
-    the requirement).
 ``batch_pipeline``
     Saturated churn driven through the chunk-at-a-time batch APIs
     (``enqueue_batch`` / ``dequeue_batch``) at chunk sizes 1/64/512,
@@ -262,65 +255,21 @@ def _pipeline_build(sched_name, workload, n_flows=36):
     return sched, sources
 
 
-def pipeline_cost(build, duration, engine=None):
-    """(ns/packet, packets) of a full source->scheduler->link simulation.
-
-    ``engine`` selects the event engine (None = the session default);
-    a ``+pool`` engine also wires the packet free list into the link and
-    sources, measuring the full zero-allocation configuration.
-    """
-    from repro.core.packet import PacketPool
+def pipeline_cost(build, duration):
+    """(ns/packet, packets) of a full source->scheduler->link simulation."""
     from repro.sim.engine import Simulator
     from repro.sim.link import Link
 
     sched, sources = build()
-    sim = Simulator(engine=engine)
-    packet_pool = (PacketPool()
-                   if engine is not None and engine.endswith("+pool")
-                   else None)
-    link = Link(sim, sched, packet_pool=packet_pool)
+    sim = Simulator()
+    link = Link(sim, sched)
     for src in sources:
         src.attach(sim, link)
-        if packet_pool is not None:
-            src.packet_pool = packet_pool
         src.start()
     t0 = perf_counter_ns()
     sim.run(until=duration)
     elapsed = perf_counter_ns() - t0
     return elapsed / max(1, link.packets_sent), link.packets_sent
-
-
-def timer_churn_cost(engine, timers, ticks):
-    """ns/event of a steady self-rescheduling timer population.
-
-    ``timers`` concurrent periodic timers each fire ``ticks`` times,
-    rescheduling themselves (``pooled=True``) until the budget runs out —
-    a pure event-engine measurement with a large, stable pending set and
-    no scheduler arithmetic in the loop.  This is the regime where the
-    heap's O(log n) per-operation cost separates from the calendar's
-    O(1): the committed baseline's 262144-timer point is the tentpole's
-    headline ratio.  Only the drain is timed (the initial schedule burst
-    is setup); the divisor is the simulator's own processed-event count.
-    """
-    from repro.sim.engine import Simulator
-
-    sim = Simulator(engine=engine)
-    left = timers * ticks
-    sched = sim.schedule_in
-
-    def tick(i, dt):
-        nonlocal left
-        left -= 1
-        if left > 0:
-            sched(dt, tick, i, dt, pooled=True)
-
-    for i in range(timers):
-        dt = 0.001 * (1 + (i % 97) / 97.0)
-        sched(dt * (i + 1) / timers, tick, i, dt, pooled=True)
-    t0 = perf_counter_ns()
-    sim.run()
-    elapsed = perf_counter_ns() - t0
-    return elapsed / max(1, sim.events_processed)
 
 
 # ----------------------------------------------------------------------
@@ -447,55 +396,6 @@ def scenario_batch_pipeline(quick, chunk=None):
             points.append(BenchPoint(
                 "batch_pipeline", name, {"chunk": chunk, "flows": 64},
                 packets, cost))
-    return points
-
-
-def scenario_event_engine(quick):
-    """Heap vs calendar event engines, with and without the free lists.
-
-    Two shapes per engine:
-
-    * ``timers`` — :func:`timer_churn_cost`'s steady self-rescheduling
-      population, the pure event-engine measurement.  Full mode adds the
-      262144-timer point (quick leaves it "missing", like the sharded
-      sweep's larger shard counts) where the calendar's O(1) bucket
-      operations beat the heap's O(log n) sift; the committed baseline
-      records that headline ratio and CI asserts it stays >= 1.2x.
-    * ``pipeline`` — the ``sim_pipeline`` cbr workload end to end under
-      each engine.  At 36 flows the pending set is small, so parity (not
-      speedup) is the expectation being pinned: the calendar must not tax
-      workloads too small to benefit from it.
-    """
-    from repro.sim.engine import ENGINES
-
-    repeats = 2 if quick else 3
-    sizes = (65536,) if quick else (65536, 262144)
-    ticks = 2 if quick else 4
-    points = []
-    for n in sizes:
-        for eng in ENGINES:
-            cost = best_of(
-                lambda eng=eng, n=n: timer_churn_cost(eng, n, ticks),
-                repeats if n <= 65536 else 2)
-            points.append(BenchPoint(
-                "event_engine", eng, {"shape": "timers", "timers": n},
-                n * ticks, cost))
-    duration = 0.02 if quick else 0.2
-    for eng in ENGINES:
-        counts = []
-
-        def once(eng=eng, counts=counts):
-            cost, sent = pipeline_cost(
-                lambda: _pipeline_build("WF2Q+", "cbr"), duration,
-                engine=eng)
-            counts.append(sent)
-            return cost
-
-        cost = best_of(once, repeats)
-        points.append(BenchPoint(
-            "event_engine", eng,
-            {"shape": "pipeline", "workload": "cbr", "flows": 36},
-            counts[-1], cost))
     return points
 
 
@@ -627,7 +527,6 @@ SCENARIOS = {
     "hierarchy": scenario_hierarchy,
     "zoo": scenario_zoo,
     "sim_pipeline": scenario_sim_pipeline,
-    "event_engine": scenario_event_engine,
     "batch_pipeline": scenario_batch_pipeline,
     "sharded_pipeline": scenario_sharded_pipeline,
     "hier_vector": scenario_hier_vector,

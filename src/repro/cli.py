@@ -170,29 +170,23 @@ def _cmd_stats(args):
         profiler = SchedulerProfiler(sched)
 
     sim = None
-    packet_pool = None
     if args.pipeline:
         # The same packet budget, but end to end: CBR sources scheduling
         # themselves on the simulator, the link draining the scheduler —
         # the path where the burst-drain fast path elides events.
-        from repro.core.packet import PacketPool
-        from repro.sim.engine import Simulator, resolve_engine
+        from repro.sim.engine import Simulator
         from repro.sim.link import Link
         from repro.traffic.source import CBRSource
 
-        engine = resolve_engine(args.engine)
-        sim = Simulator(engine=engine)
+        sim = Simulator()
         if profiler is not None:
             profiler.sim = sim
-        if engine.endswith("+pool"):
-            packet_pool = PacketPool()
-        link = Link(sim, sched, packet_pool=packet_pool)
+        link = Link(sim, sched)
         aggregate = 0.98 * args.rate
         stagger = args.length / args.rate / args.flows
         for i in range(args.flows):
             source = CBRSource(str(i), aggregate / args.flows, args.length,
                                start_time=i * stagger).attach(sim, link)
-            source.packet_pool = packet_pool
             source.start()
         sim.run(until=args.packets * args.length / aggregate)
     else:
@@ -252,22 +246,6 @@ def _cmd_stats(args):
         share = 100.0 * elided / total if total else 0.0
         print(f"events: processed={processed} elided={elided} "
               f"({share:.1f}% of clock advances inline)")
-        line = f"engine: {sim.engine_active}"
-        if sim.engine_fallbacks:
-            line += (f" (requested {sim.engine}, "
-                     f"{sim.engine_fallbacks} heap fallback(s))")
-        acquires = sim.pool_hits + sim.pool_misses
-        if acquires:
-            line += (f", event pool {sim.pool_hits}/{acquires} hits "
-                     f"({100.0 * sim.pool_hit_rate:.1f}%)")
-        if sim.calendar_resizes:
-            line += f", {sim.calendar_resizes} calendar resize(s)"
-        print(line)
-        if packet_pool is not None:
-            total_acq = packet_pool.hits + packet_pool.misses
-            print(f"packet pool: {packet_pool.hits}/{total_acq} hits "
-                  f"({100.0 * packet_pool.hit_rate:.1f}%), "
-                  f"{len(packet_pool)} free")
     if checker is not None:
         print()
         print(f"invariants: OK ({checker.events_checked} events checked, "
@@ -297,7 +275,6 @@ def _cmd_sim(args):
         report = run_sharded(args.scenario, shards=args.shards,
                              duration=args.duration, migrate=migrate,
                              max_retries=args.max_retries,
-                             engine=args.engine,
                              **params)
     except ConfigurationError as exc:
         print(f"repro sim: {exc}")
@@ -310,8 +287,7 @@ def _cmd_sim(args):
         print(f"wrote merged report to {args.json}")
     if args.verify and (args.shards > 1 or migrate is not None):
         baseline = run_sharded(args.scenario, shards=1,
-                               duration=args.duration, engine=args.engine,
-                               **params)
+                               duration=args.duration, **params)
         if baseline["digest"] != report["digest"]:
             print(f"verify: FAIL — single-process digest "
                   f"{baseline['digest']} != sharded {report['digest']}")
@@ -335,14 +311,12 @@ def _cmd_serve(args):
                           kills=args.kills, seed=args.seed, rate=args.rate,
                           checkpoint_every=args.checkpoint_every,
                           idle_ttl=args.idle_ttl,
-                          directory=args.checkpoint_dir,
-                          engine=args.engine)
+                          directory=args.checkpoint_dir)
         print(format_soak(result))
         return 0 if result["ok"] else 1
 
     opts = {"checkpoint_every": args.checkpoint_every,
-            "idle_ttl": args.idle_ttl, "stall_wall": args.stall_wall,
-            "engine": args.engine}
+            "idle_ttl": args.idle_ttl, "stall_wall": args.stall_wall}
     try:
         if args.recover:
             if args.checkpoint_dir is None:
@@ -641,21 +615,12 @@ def _cmd_bounds(args):
 
 
 def build_parser():
-    from repro.sim.engine import ENGINES
-
     parser = argparse.ArgumentParser(
         prog="repro",
         description="Hierarchical Packet Fair Queueing (SIGCOMM '96) "
                     "experiment runner",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    def add_engine_flag(p):
-        p.add_argument("--engine", default=None, choices=ENGINES,
-                       help="event engine for the simulator: heap "
-                            "(default), calendar, or their +pool variants "
-                            "(byte-identical results; unset resolves from "
-                            "$REPRO_ENGINE)")
 
     sub.add_parser("fig2", help="print the Figure 2 service timelines"
                    ).set_defaults(func=_cmd_fig2)
@@ -702,7 +667,6 @@ def build_parser():
                          metavar="N|auto",
                          help="pin the burst-drain chunk, or 'auto' to "
                               "let the batch-histogram autotuner pick it")
-    add_engine_flag(p_stats)
     p_stats.set_defaults(func=_cmd_stats)
 
     from repro.shard.scenarios import SHARD_SCENARIOS
@@ -749,7 +713,6 @@ def build_parser():
                             "mismatch")
     p_sim.add_argument("--json", metavar="OUT.JSON", default=None,
                        help="write the merged report as JSON")
-    add_engine_flag(p_sim)
     p_sim.set_defaults(func=_cmd_sim)
 
     p_serve = sub.add_parser(
@@ -788,7 +751,6 @@ def build_parser():
                               "uninterrupted run with zero violations")
     p_serve.add_argument("--kills", type=_positive_int, default=3,
                          help="hard kills to inject during --soak")
-    add_engine_flag(p_serve)
     p_serve.set_defaults(func=_cmd_serve)
 
     p_bench = sub.add_parser(

@@ -26,7 +26,7 @@ Hierarchical servers:
 * :class:`~repro.core.hgps.HGPSFluidSystem` — the fluid H-GPS reference.
 """
 
-from repro.core.packet import Packet, PacketPool
+from repro.core.packet import Packet
 from repro.core.flow import FlowConfig, LeakyBucket
 from repro.core.scheduler import PacketScheduler, ScheduledPacket
 from repro.core.fifo import FIFOScheduler
@@ -55,7 +55,6 @@ from repro.core.hierarchy import (
 
 __all__ = [
     "Packet",
-    "PacketPool",
     "FlowConfig",
     "LeakyBucket",
     "PacketScheduler",

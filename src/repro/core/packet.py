@@ -11,7 +11,7 @@ Lengths and times are plain numbers so that exact tests can use
 
 import itertools
 
-__all__ = ["Packet", "PacketPool"]
+__all__ = ["Packet"]
 
 _packet_ids = itertools.count()
 
@@ -92,78 +92,3 @@ class Packet:
     def __eq__(self, other):
         return self is other
 
-
-class PacketPool:
-    """A free list recycling :class:`Packet` objects through the hot path.
-
-    Pipeline builders hand the same pool to the traffic sources (which
-    :meth:`acquire` instead of constructing) and to the
-    :class:`~repro.sim.link.Link` (which :meth:`release` each packet the
-    moment nothing downstream can retain it — no receiver, no
-    packet-retaining trace, no drop callback).  Observability events
-    carry ``packet_uid``, never the object, so sinks are always safe.
-
-    :meth:`acquire` draws ``next(_packet_ids)`` exactly as construction
-    would, so the uid stream — and every trace/digest keyed on it — is
-    byte-identical with or without the pool, and a recycled packet can
-    never alias a uid captured earlier (e.g. in a checkpoint): each
-    acquire is a brand-new identity on a reused allocation.
-
-    ``epoch`` counts :meth:`flush` calls; the Link flushes on
-    checkpoint-restore so no pre-rollback object crosses the timeline.
-    """
-
-    __slots__ = ("_free", "cap", "hits", "misses", "epoch")
-
-    def __init__(self, cap=4096):
-        self._free = []
-        self.cap = cap
-        self.hits = 0
-        self.misses = 0
-        self.epoch = 0
-
-    def __len__(self):
-        return len(self._free)
-
-    @property
-    def hit_rate(self):
-        """Fraction of acquires served from the free list."""
-        total = self.hits + self.misses
-        return self.hits / total if total else 0.0
-
-    def acquire(self, flow_id, length, arrival_time=None, seqno=None,
-                payload=None):
-        """A packet with the given fields and a *fresh* uid."""
-        free = self._free
-        if free:
-            if length <= 0:
-                raise ValueError(
-                    f"packet length must be positive, got {length!r}")
-            packet = free.pop()
-            packet.uid = next(_packet_ids)
-            packet.flow_id = flow_id
-            packet.length = length
-            packet.arrival_time = arrival_time
-            packet.seqno = seqno
-            packet.payload = payload
-            self.hits += 1
-            return packet
-        self.misses += 1
-        return Packet(flow_id, length, arrival_time=arrival_time,
-                      seqno=seqno, payload=payload)
-
-    def release(self, packet):
-        """Return a packet nothing references anymore to the free list."""
-        free = self._free
-        if len(free) < self.cap:
-            packet.payload = None
-            free.append(packet)
-
-    def flush(self):
-        """Drop the free list (checkpoint rollback crossed a timeline)."""
-        self._free.clear()
-        self.epoch += 1
-
-    def __repr__(self):
-        return (f"PacketPool(free={len(self._free)}, hits={self.hits}, "
-                f"misses={self.misses})")

@@ -5,14 +5,8 @@ keyed by a virtual-time tag, with support for *changing* a flow's key when a
 new packet reaches the head of its queue.  :class:`IndexedHeap` provides
 exactly that in O(log N) per operation, matching the complexity claim of
 WF2Q+ (Section 3.4 of the paper).
-
-:class:`CalendarQueue` is the simulator-side counterpart: an O(1)-amortized
-event queue (bucketed by timestamp, recalibrating width/bucket-count from
-the live population) whose pop order is byte-identical to ``heapq`` on the
-simulator's ``(time, priority, seq, event)`` entries.
 """
 
-from repro.dstruct.calendar import CalendarQueue
 from repro.dstruct.heap import IndexedHeap
 
-__all__ = ["CalendarQueue", "IndexedHeap"]
+__all__ = ["IndexedHeap"]

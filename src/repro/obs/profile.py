@@ -64,10 +64,10 @@ class SchedulerProfiler:
     clock:
         Timer returning seconds (default :func:`time.perf_counter`).
     sim:
-        Optional :class:`~repro.sim.engine.Simulator` whose event-engine
-        counters (elided events, event-pool hit rate, calendar resizes)
-        are appended to :meth:`format_report`.  Assignable after
-        construction — the pipeline driver builds the simulator later.
+        Optional :class:`~repro.sim.engine.Simulator` whose event
+        counters (processed and elided events) are appended to
+        :meth:`format_report`.  Assignable after construction — the
+        pipeline driver builds the simulator later.
     """
 
     def __init__(self, scheduler, clock=time.perf_counter, sim=None):
@@ -205,15 +205,8 @@ class SchedulerProfiler:
                 f"sizes {hist})")
         sim = self.sim
         if sim is not None:
-            acquires = sim.pool_hits + sim.pool_misses
-            pool = (f", event pool {sim.pool_hits}/{acquires} hits "
-                    f"({100.0 * sim.pool_hit_rate:.1f}%)" if acquires
-                    else "")
-            lines.append(
-                f"engine: {sim.engine_active}, "
-                f"{sim.events_processed} events processed, "
-                f"{sim.events_elided} elided"
-                f"{pool}, {sim.calendar_resizes} calendar resize(s)")
+            lines.append(f"events: {sim.events_processed} processed, "
+                         f"{sim.events_elided} elided")
         return "\n".join(lines)
 
     def __enter__(self):

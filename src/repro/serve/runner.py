@@ -89,11 +89,6 @@ class DigestTrace:
 
     SEED = "repro-serve-digest-v1"
 
-    #: Rows are folded into the digest and discarded — no packet object
-    #: survives a record_* call, so a Link may recycle packets through a
-    #: :class:`~repro.core.packet.PacketPool` under this trace.
-    retains_packets = False
-
     def __init__(self):
         self.digest = hashlib.sha256(self.SEED.encode()).hexdigest()
         self.rows = 0
@@ -187,13 +182,6 @@ class ServiceRunner:
         Attach an :class:`~repro.obs.invariants.InvariantChecker`
         (default True); violations trigger the quarantine path instead
         of killing the service.
-    engine:
-        Event-engine selector for the hosted simulator (see
-        :func:`repro.sim.engine.resolve_engine`; None resolves from
-        ``REPRO_ENGINE``).  Checkpoints are engine-agnostic — a service
-        checkpointed under one engine recovers under any other with a
-        byte-identical chained digest — so the engine is a per-process
-        runtime choice, not part of the persisted spec.
     on_incident:
         Optional callable receiving every
         :class:`~repro.obs.events.IncidentEvent` as it is recorded.
@@ -201,7 +189,7 @@ class ServiceRunner:
 
     def __init__(self, spec, *, checkpoint_dir=None, checkpoint_every=None,
                  keep=3, idle_ttl=None, stall_wall=None, check=True,
-                 engine=None, wall_clock=None, on_incident=None,
+                 wall_clock=None, on_incident=None,
                  _restore=None):
         if spec.get("kind") == "network":
             raise ConfigurationError(
@@ -216,7 +204,6 @@ class ServiceRunner:
         self.idle_ttl = idle_ttl
         self.stall_wall = stall_wall
         self.check = check
-        self.engine = engine
         self._wall = wall_clock if wall_clock is not None else time.monotonic
         self.on_incident = on_incident
         self.incidents = []
@@ -256,7 +243,7 @@ class ServiceRunner:
         from repro.sim.engine import Simulator
         from repro.sim.link import Link
 
-        self.sim = Simulator(engine=self.engine)
+        self.sim = Simulator()
         self.trace = DigestTrace()
         scheduler = build_scheduler(spec["scheduler"])
         # Replay completed detaches: flow indices come from a monotonic
@@ -397,7 +384,6 @@ class ServiceRunner:
         return {
             "cell": self.spec.get("cell"),
             "scheduler": sched.name,
-            "engine": self.sim.engine_active,
             "clock": self.sim.now,
             "digest": self.trace.digest,
             "rows": self.trace.rows,

@@ -73,7 +73,7 @@ def build_service_spec(flows=32, rate=1e6, duration=2.0, length=8000.0,
 
 def run_soak(flows=32, duration=2.0, kills=3, seed=1, rate=1e6,
              checkpoint_every=None, idle_ttl=None, directory=None,
-             waves=4, sleep=None, engine=None):
+             waves=4, sleep=None):
     """Kill-and-recover soak; returns a plain-data verdict.
 
     ``kills`` seeded random kill points land strictly after the second
@@ -81,8 +81,7 @@ def run_soak(flows=32, duration=2.0, kills=3, seed=1, rate=1e6,
     from) and before 95% of the horizon.  ``directory`` overrides the
     checkpoint location (a temp dir by default); ``sleep`` is passed to
     the supervisor (default: no real waiting — the backoff schedule is
-    still recorded).  ``engine`` selects the event engine for baseline
-    and chaos runners alike (the digest verdict is engine-invariant).
+    still recorded).
     """
     if checkpoint_every is None:
         checkpoint_every = duration / 16
@@ -96,7 +95,7 @@ def run_soak(flows=32, duration=2.0, kills=3, seed=1, rate=1e6,
     spec = build_service_spec(flows=flows, rate=rate, duration=duration,
                               seed=seed)
     opts = {"checkpoint_every": checkpoint_every, "idle_ttl": idle_ttl,
-            "check": True, "engine": engine}
+            "check": True}
 
     baseline = ServiceRunner(spec, **opts)
     baseline.run_to(duration)

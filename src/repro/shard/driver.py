@@ -44,8 +44,7 @@ _DEFAULT_START = "spawn"
 DEFAULT_MAX_RETRIES = 2
 
 
-def _run_jobs(ctx, jobs, duration, max_retries, backoff, absorb, sleep=None,
-              engine=None):
+def _run_jobs(ctx, jobs, duration, max_retries, backoff, absorb, sleep=None):
     """Fan ``(shard, specs)`` jobs out to worker processes with retries.
 
     Built on :class:`ProcessPoolExecutor`, which *detects* an abruptly
@@ -72,8 +71,7 @@ def _run_jobs(ctx, jobs, duration, max_retries, backoff, absorb, sleep=None,
                                  mp_context=ctx) as pool:
             futures = [
                 (shard, specs,
-                 pool.submit(run_shard,
-                             (shard, specs, duration, attempt, engine)))
+                 pool.submit(run_shard, (shard, specs, duration, attempt)))
                 for shard, specs in pending
             ]
             # Merge by dict update, keyed on stable cell ids: completion
@@ -134,17 +132,13 @@ def _split_migration(cells, migrate):
 
 def run_sharded(scenario="cbr_flat", shards=1, duration=None, migrate=None,
                 mp_context=None, max_retries=DEFAULT_MAX_RETRIES,
-                retry_backoff=0.05, strict=True, engine=None, **params):
+                retry_backoff=0.05, strict=True, **params):
     """Run a scenario across ``shards`` workers; returns the merged report.
 
     ``scenario`` is a registered name (params like ``flows``/``cells``/
     ``rate``/``seed`` pass through to the builder) or a prebuilt
     ``{"name", "duration", "cells"}`` dict.  ``migrate`` is
-    ``{"cell": id, "at": t}`` with ``0 < t < duration``.  ``engine``
-    selects the simulator's event engine in every worker (heap, calendar,
-    or their ``+pool`` variants; None resolves from ``REPRO_ENGINE``);
-    the merged digest is engine-invariant, which the differential suite
-    pins.
+    ``{"cell": id, "at": t}`` with ``0 < t < duration``.
 
     Worker failures: each shard whose worker dies or raises is retried up
     to ``max_retries`` times (exponential backoff starting at
@@ -161,9 +155,7 @@ def run_sharded(scenario="cbr_flat", shards=1, duration=None, migrate=None,
             f"migration time {migrate['at']!r} must fall inside "
             f"(0, {duration!r})")
     sim_stats = {"events_processed": 0, "events_elided": 0,
-                 "batch_calls": 0, "batch_packets": 0,
-                 "pool_hits": 0, "pool_misses": 0,
-                 "calendar_resizes": 0, "engine_fallbacks": 0}
+                 "batch_calls": 0, "batch_packets": 0}
 
     def absorb(stats):
         for key in sim_stats:
@@ -174,15 +166,15 @@ def run_sharded(scenario="cbr_flat", shards=1, duration=None, migrate=None,
     failures = {}
     if shards <= 1:
         if rest:
-            cell_results, stats = run_cells(rest, duration, engine=engine)
+            cell_results, stats = run_cells(rest, duration)
             results.update(cell_results)
             absorb(stats)
         if migrating is not None:
             # Same process, but a genuinely fresh simulator for the
             # resume — the cross-process variant is exercised below and
             # in the differential suite.
-            ckpt = checkpoint_cell(migrating, migrate["at"], engine=engine)
-            resumed = resume_cell(migrating, ckpt, duration, engine=engine)
+            ckpt = checkpoint_cell(migrating, migrate["at"])
+            resumed = resume_cell(migrating, ckpt, duration)
             results[migrating["cell"]] = resumed["result"]
             absorb(resumed["sim"])
     else:
@@ -193,8 +185,7 @@ def run_sharded(scenario="cbr_flat", shards=1, duration=None, migrate=None,
         jobs = [(shard, specs) for shard, specs in sorted(by_shard.items())]
         ctx = multiprocessing.get_context(mp_context or _DEFAULT_START)
         shard_results, failures = _run_jobs(
-            ctx, jobs, duration, max_retries, retry_backoff, absorb,
-            engine=engine)
+            ctx, jobs, duration, max_retries, retry_backoff, absorb)
         results.update(shard_results)
         if migrating is not None:
             # Checkpoint in one pool worker, resume in *another*: the
@@ -202,11 +193,10 @@ def run_sharded(scenario="cbr_flat", shards=1, duration=None, migrate=None,
             # worker that never saw the first segment.
             with ProcessPoolExecutor(max_workers=1, mp_context=ctx) as pool:
                 ckpt = pool.submit(
-                    checkpoint_cell, migrating, migrate["at"],
-                    engine).result()
+                    checkpoint_cell, migrating, migrate["at"]).result()
             with ProcessPoolExecutor(max_workers=1, mp_context=ctx) as fresh:
                 resumed = fresh.submit(
-                    resume_cell, migrating, ckpt, duration, engine).result()
+                    resume_cell, migrating, ckpt, duration).result()
             results[migrating["cell"]] = resumed["result"]
             absorb(resumed["sim"])
     if failures and strict:

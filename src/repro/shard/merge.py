@@ -14,9 +14,6 @@ there:
     how large its scheduler batches get) depends on what else shares the
     event heap, which changes with the cell grouping (shards=1 hosts
     every cell in one simulator);
-  - ``pool_hits`` / ``pool_misses`` / ``calendar_resizes`` /
-    ``engine_fallbacks``: event-engine telemetry — a pure function of
-    the engine selection and grouping, never of what was scheduled;
   - ``busy_time``: accumulated in drain-sized float batches, so its
     addition *association* (not its operands) varies with grouping;
   - ``delay_sum`` / ``delay_mean``: a migrated cell adds two segment
@@ -185,14 +182,6 @@ def format_report(report):
         per = batched / calls
         lines.append(f"  batches: {calls} calls, {batched} packets "
                      f"({per:.1f} packets/batch)")
-    acquires = sim.get("pool_hits", 0) + sim.get("pool_misses", 0)
-    resizes = sim.get("calendar_resizes", 0)
-    if acquires or resizes or sim.get("engine_fallbacks", 0):
-        rate = 100.0 * sim.get("pool_hits", 0) / acquires if acquires else 0.0
-        lines.append(
-            f"  engine: event pool {sim.get('pool_hits', 0)}/{acquires} "
-            f"hits ({rate:.1f}%), {resizes} calendar resize(s), "
-            f"{sim.get('engine_fallbacks', 0)} heap fallback(s)")
     lines.append(
         f"  wall: {report['wall_seconds']:.3f}s "
         f"({report['packets_per_second']:,.0f} packets/s)")

@@ -336,58 +336,36 @@ def _batch_totals(cells):
     return {"batch_calls": calls, "batch_packets": packets}
 
 
-def _engine_stats(sim):
-    """Event-engine counters for a finished simulator (process-local).
-
-    Like ``events_elided`` these are execution metadata — bucket resizes
-    depend on what else shares the event queue — so the merge layer sums
-    them and keeps them out of the digest.
-    """
-    return {
-        "pool_hits": sim.pool_hits,
-        "pool_misses": sim.pool_misses,
-        "calendar_resizes": sim.calendar_resizes,
-        "engine_fallbacks": sim.engine_fallbacks,
-    }
-
-
-def run_cells(specs, duration, engine=None):
+def run_cells(specs, duration):
     """Run a group of cells in ONE simulator; returns (results, sim stats).
 
     This is both the whole job of a shard worker and — passed every cell —
     the single-process reference run, which is what makes ``--shards 1``
-    a genuine baseline rather than a degenerate pool.  ``engine`` selects
-    the event engine (see :func:`repro.sim.engine.resolve_engine`); both
-    engines produce byte-identical cell results, so the merged digest is
-    engine-invariant.
+    a genuine baseline rather than a degenerate pool.
     """
     from repro.sim.engine import Simulator
 
-    sim = Simulator(engine=engine)
+    sim = Simulator()
     cells = [build_cell(sim, spec) for spec in specs]
     sim.run(until=duration)
     results = {cell.spec["cell"]: collect(cell) for cell in cells}
     stats = {"events_processed": sim.events_processed,
              "events_elided": sim.events_elided}
     stats.update(_batch_totals(cells))
-    stats.update(_engine_stats(sim))
     return results, stats
 
 
 def run_shard(job):
-    """Pool entry: ``(shard_id, [cell specs], duration[, attempt[, engine]])``.
+    """Pool entry: ``(shard_id, [cell specs], duration[, attempt])``.
 
     ``attempt`` (default 0) is the driver's retry counter; it feeds the
     deterministic crash injection below and nothing else, so legacy
-    3-tuple jobs behave identically.  ``engine`` (default None: resolve
-    from ``REPRO_ENGINE``/heap in the worker process) rides in the job so
-    spawn-started workers run the engine the driver was asked for.
+    3-tuple jobs behave identically.
     """
     shard_id, specs, duration, *rest = job
     attempt = rest[0] if rest else 0
-    engine = rest[1] if len(rest) > 1 else None
     _maybe_fail(shard_id, specs, attempt)
-    results, stats = run_cells(specs, duration, engine=engine)
+    results, stats = run_cells(specs, duration)
     return {"shard": shard_id, "results": results, "sim": stats}
 
 
@@ -415,7 +393,7 @@ def _maybe_fail(shard_id, specs, attempt):
 # ----------------------------------------------------------------------
 # Checkpoint-based migration
 # ----------------------------------------------------------------------
-def checkpoint_cell(spec, at, engine=None):
+def checkpoint_cell(spec, at):
     """Run a flat cell to ``at`` and capture a picklable checkpoint.
 
     The checkpoint carries the joint link+scheduler snapshot (including
@@ -423,8 +401,7 @@ def checkpoint_cell(spec, at, engine=None):
     per-source emission snapshots, and the partial results of the first
     segment.  ``sim.run(until=at)`` leaves the stack in a consistent
     state — any transmission crossing the cut holds a real finish event,
-    which the snapshot encodes and :func:`resume_cell` re-arms.  The
-    checkpoint itself is engine-agnostic: either engine may resume it.
+    which the snapshot encodes and :func:`resume_cell` re-arms.
     """
     from repro.sim.engine import Simulator
 
@@ -432,13 +409,12 @@ def checkpoint_cell(spec, at, engine=None):
         raise ConfigurationError(
             "network cells cannot be checkpointed (in-flight hop state is "
             "not snapshottable); migrate flat cells only")
-    sim = Simulator(engine=engine)
+    sim = Simulator()
     cell = build_cell(sim, spec)
     sim.run(until=at)
     sim_stats = {"events_processed": sim.events_processed,
                  "events_elided": sim.events_elided}
     sim_stats.update(_batch_totals([cell]))
-    sim_stats.update(_engine_stats(sim))
     return {
         "cell": spec["cell"],
         "clock": at,
@@ -449,7 +425,7 @@ def checkpoint_cell(spec, at, engine=None):
     }
 
 
-def resume_cell(spec, ckpt, duration, engine=None):
+def resume_cell(spec, ckpt, duration):
     """Rebuild a checkpointed cell in a fresh process and finish the run.
 
     Returns the merged (segment 1 + segment 2) cell result plus the
@@ -464,7 +440,7 @@ def resume_cell(spec, ckpt, duration, engine=None):
         raise ConfigurationError(
             f"checkpoint is for cell {ckpt['cell']!r}, "
             f"not {spec['cell']!r}")
-    sim = Simulator(engine=engine)
+    sim = Simulator()
     cell = build_cell(sim, spec, start=False)
     link = cell.links["link"]
     link.restore(ckpt["link"], rearm=True)
@@ -487,9 +463,6 @@ def resume_cell(spec, ckpt, duration, engine=None):
     # carries them), so segment 2's batch totals are already the whole
     # run's — adding the checkpoint's would double-count segment 1.
     stats.update(_batch_totals([cell]))
-    # Engine counters are per-simulator, so the two segments add.
-    for key, value in _engine_stats(sim).items():
-        stats[key] = value + ckpt["sim"].get(key, 0)
     return {"result": merged, "sim": stats}
 
 

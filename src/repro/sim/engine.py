@@ -14,33 +14,14 @@ Usage::
 Callbacks may schedule further events.  ``schedule`` returns an
 :class:`Event` handle with ``cancel()``.
 
-Event engines
--------------
-Two interchangeable priority structures back the pending-event set,
-selected by ``Simulator(engine=...)`` (or the ``REPRO_ENGINE``
-environment variable):
-
-``"heap"`` (default)
-    A binary heap of raw ``(time, priority, seq, event)`` tuples via
-    :mod:`heapq` — O(log n) per operation with C-level constants.
-``"calendar"``
-    A :class:`~repro.dstruct.calendar.CalendarQueue` — O(1) amortized
-    bucket operations, which overtake the heap once the pending
-    population is large (thousands of concurrent timers/flows).  Pop
-    order is byte-identical to the heap on the same schedule calls (the
-    differential suite pins service traces, obs streams and digests),
-    and a population the calendar cannot hash apart (zero timestamp
-    spread at scale) automatically migrates back to the heap —
-    heapifying the same entries preserves the total order, so the
-    fallback is seamless and exact.
-
-Appending ``"+pool"`` to either engine name enables the zero-allocation
-free lists: fired :class:`Event` records are recycled into subsequent
-``schedule`` calls instead of being garbage.  Only events scheduled with
-``pooled=True`` are recycled — the contract is that no holder retains the
-handle past its callback (the Link and the traffic sources are audited
-call sites) — so arbitrary user events keep today's allocate-per-schedule
-semantics and a retained handle can never alias a recycled one.
+The pending-event set
+---------------------
+A binary heap of raw ``(time, priority, seq, event)`` tuples via
+:mod:`heapq` — the NETSIM-style event heap: O(log n) per operation with
+C-level constants.  :meth:`Simulator.run`, :meth:`Simulator.run_guarded`
+and :meth:`Simulator.step` are thin front ends to one private loop that
+differ only in the budget they hand it: none, a wall-clock stall check
+every ``check_every`` events, a ``max_events`` count, or a single event.
 
 Event elision
 -------------
@@ -51,35 +32,18 @@ schedule/pop round-trip entirely and move the clock themselves with
 overtake the earliest pending event or the ``until`` horizon of the
 running loop, which is exactly the condition under which eliding an
 event is unobservable.  :attr:`Simulator.events_elided` counts these
-inline advances.
+inline advances.  Elision is enabled only under a plain ``run()``
+without ``max_events``: a budget counts fired callbacks, which elision
+would skew.
 """
 
 import heapq
-import os
 from heapq import heappop, heappush
+from time import monotonic
 
-from repro.dstruct.calendar import CalendarQueue
 from repro.errors import SimulationError
 
 __all__ = ["Simulator", "Event"]
-
-#: Recognised engine selectors.
-ENGINES = ("heap", "calendar", "heap+pool", "calendar+pool")
-
-
-def resolve_engine(engine=None):
-    """Normalise an engine selector; None falls back to ``REPRO_ENGINE``.
-
-    Raises :class:`SimulationError` on an unknown name so a typo in the
-    environment fails loudly instead of silently running the default.
-    """
-    if engine is None:
-        engine = os.environ.get("REPRO_ENGINE") or "heap"
-    engine = engine.strip().lower()
-    if engine not in ENGINES:
-        raise SimulationError(
-            f"unknown event engine {engine!r}: expected one of {ENGINES}")
-    return engine
 
 
 class Event:
@@ -92,26 +56,19 @@ class Event:
     the *handle* riding along in the entry.
 
     A cancelled event's entry stays queued (removal from the middle of a
-    priority structure is O(n)); the simulator counts tombstones and
-    compacts the queue once they dominate, so workloads that cancel in
-    bulk (e.g. timers rescheduled every packet) stay O(live events).
+    heap is O(n)); the simulator counts tombstones and compacts the queue
+    once they dominate, so workloads that cancel in bulk (e.g. timers
+    rescheduled every packet) stay O(live events).
 
     ``epoch`` stamps which simulator timeline the event belongs to: a
     :meth:`Simulator.restore` abandons every previously issued handle and
     bumps the simulator's epoch, so holders can tell a still-queued event
     from an abandoned one in O(1) (``event.sim is sim and event.epoch ==
     sim.epoch``) instead of scanning the queue.
-
-    ``pooled`` marks the event recyclable under a ``+pool`` engine: the
-    scheduling call site guarantees no reference to the handle survives
-    the callback, so the loop may return the object to the free list the
-    moment the callback (and hook) finish.  Cancelled tombstones are
-    never recycled — a holder that cancelled may still inspect the
-    handle, and must keep seeing ``cancelled=True``.
     """
 
     __slots__ = ("time", "priority", "seq", "callback", "args", "cancelled",
-                 "sim", "epoch", "pooled")
+                 "sim", "epoch")
 
     def __init__(self, time, priority, seq, callback, args, sim=None,
                  epoch=0):
@@ -123,7 +80,6 @@ class Event:
         self.cancelled = False
         self.sim = sim
         self.epoch = epoch
-        self.pooled = False
 
     def cancel(self):
         if self.cancelled:
@@ -136,56 +92,20 @@ class Event:
             self.sim = None
             sim._note_cancelled()
 
-    def __lt__(self, other):
-        return (self.time, self.priority, self.seq) < (other.time, other.priority, other.seq)
-
     def __repr__(self):
         state = " cancelled" if self.cancelled else ""
         return f"Event(t={self.time!r}, prio={self.priority}{state})"
 
 
-def _is_cancelled(event):
-    return event.cancelled
-
-
 class Simulator:
-    """A single-threaded discrete-event simulator with a monotonic clock.
-
-    ``engine`` selects the pending-event structure (see the module
-    docstring); ``None`` reads ``REPRO_ENGINE`` and defaults to
-    ``"heap"``.  All engines are observably identical — same callback
-    order, same clock values, same snapshots — differing only in speed.
-    """
+    """A single-threaded discrete-event simulator with a monotonic clock."""
 
     #: Compaction floor: below this many tombstones the queue is left
     #: alone (filtering a tiny queue costs more than the pops it saves).
     COMPACT_MIN_CANCELLED = 64
 
-    #: Free-list ceiling for recycled Event records: bounds worst-case
-    #: retention after a population spike.
-    EVENT_POOL_CAP = 4096
-
-    def __init__(self, engine=None):
-        engine = resolve_engine(engine)
-        self.engine = engine
-        base, _, pool = engine.partition("+")
-        #: True under a ``+pool`` engine: fired pooled events go back to
-        #: the free list instead of the garbage collector.
-        self._pool_on = pool == "pool"
-        #: The calendar structure, or None when the heap engine backs the
-        #: queue (either selected, or after a degenerate-spread fallback).
-        self._cal = CalendarQueue() if base == "calendar" else None
+    def __init__(self):
         self._queue = []
-        #: Event free list (``+pool`` engines); acquire restamps every
-        #: field, so a recycled record is indistinguishable from a fresh
-        #: allocation.
-        self._event_pool = []
-        self._pool_hits = 0
-        self._pool_misses = 0
-        #: Calendar resizes accumulated across fallbacks (the live
-        #: structure's own counter resets when it is replaced).
-        self._resizes_base = 0
-        self._engine_fallbacks = 0
         #: Monotone event sequence number.  A plain int (not
         #: itertools.count) so :meth:`snapshot` can capture and
         #: :meth:`restore` reinstate it — FIFO tie-breaking must replay
@@ -235,48 +155,9 @@ class Simulator:
         return self._epoch
 
     @property
-    def engine_active(self):
-        """The structure currently backing the queue: the selected engine,
-        or its heap downgrade after a degenerate-spread fallback."""
-        if self._cal is None and self.engine.startswith("calendar"):
-            return "heap+pool" if self._pool_on else "heap"
-        return self.engine
-
-    @property
-    def engine_fallbacks(self):
-        """Calendar-to-heap migrations forced by a pathological (zero
-        timestamp spread) population."""
-        return self._engine_fallbacks
-
-    @property
-    def calendar_resizes(self):
-        """Bucket-array rebuilds performed by the calendar engine."""
-        cal = self._cal
-        return self._resizes_base + (cal.resizes if cal is not None else 0)
-
-    @property
-    def pool_hits(self):
-        """Schedule calls served from the event free list."""
-        return self._pool_hits
-
-    @property
-    def pool_misses(self):
-        """Schedule calls that allocated a fresh Event under ``+pool``."""
-        return self._pool_misses
-
-    @property
-    def pool_hit_rate(self):
-        """Fraction of schedules served from the free list (0.0 when the
-        pool is disabled or nothing was scheduled)."""
-        total = self._pool_hits + self._pool_misses
-        return self._pool_hits / total if total else 0.0
-
-    @property
     def pending(self):
         """Number of live (not-yet-fired, not-cancelled) events."""
-        cal = self._cal
-        queued = len(self._queue) if cal is None else len(cal)
-        return queued - self._cancelled
+        return len(self._queue) - self._cancelled
 
     def _note_cancelled(self):
         """A queued event was cancelled; compact once tombstones dominate.
@@ -286,45 +167,21 @@ class Simulator:
         tombstones (and at least :data:`COMPACT_MIN_CANCELLED` of them),
         so the rebuild cost is covered by the cancellations it reclaims.
         The heap rebuild mutates the list in place: the run loop holds a
-        local alias of the queue, and rebinding would strand it.  The
-        calendar filters its buckets in place for the same reason.
+        local alias of the queue, and rebinding would strand it.
         """
         self._cancelled += 1
-        if self._cancelled < self.COMPACT_MIN_CANCELLED:
-            return
-        cal = self._cal
-        if cal is None:
-            if self._cancelled * 2 > len(self._queue):
-                self._queue[:] = [e for e in self._queue if not e[3].cancelled]
-                heapq.heapify(self._queue)
-                self._cancelled = 0
-        elif self._cancelled * 2 > len(cal):
-            self._cancelled -= cal.compact(_is_cancelled)
-
-    def _fallback_to_heap(self):
-        """Migrate the calendar's entries onto the heap engine.
-
-        Triggered by the calendar flagging itself degenerate (a large
-        population with zero timestamp spread hashes into one eternally
-        re-sorted bucket).  Heapifying the same ``(time, priority, seq,
-        event)`` tuples preserves the total order exactly, so the switch
-        is invisible to callbacks, traces and digests.
-        """
-        cal = self._cal
-        self._queue = list(cal.entries())
-        heapq.heapify(self._queue)
-        self._resizes_base += cal.resizes
-        self._cal = None
-        self._engine_fallbacks += 1
+        if (self._cancelled >= self.COMPACT_MIN_CANCELLED
+                and self._cancelled * 2 > len(self._queue)):
+            self._queue[:] = [e for e in self._queue if not e[3].cancelled]
+            heapq.heapify(self._queue)
+            self._cancelled = 0
 
     def schedule(self, time, callback, *args, priority=0, pooled=False):
         """Run ``callback(*args)`` at absolute ``time``.
 
         ``priority`` orders simultaneous events (lower runs first).
         Scheduling in the past raises :class:`SimulationError`.
-        ``pooled=True`` is a call-site promise that no reference to the
-        returned handle outlives the callback, allowing a ``+pool``
-        engine to recycle the Event record the moment it fires.
+        ``pooled`` is accepted for compatibility and ignored.
         """
         if time < self._now:
             raise SimulationError(
@@ -332,52 +189,8 @@ class Simulator:
             )
         seq = self._seq
         self._seq = seq + 1
-        # Inlined _acquire(): this is the hot allocation site.
-        pool = self._event_pool
-        if pool:
-            event = pool.pop()
-            event.time = time
-            event.priority = priority
-            event.seq = seq
-            event.callback = callback
-            event.args = args
-            event.cancelled = False
-            event.sim = self
-            event.epoch = self._epoch
-            event.pooled = pooled
-            self._pool_hits += 1
-        else:
-            event = Event(time, priority, seq, callback, args, self,
-                          self._epoch)
-            if pooled:
-                event.pooled = True
-            if self._pool_on:
-                self._pool_misses += 1
-        cal = self._cal
-        if cal is None:
-            heappush(self._queue, (time, priority, seq, event))
-        else:
-            # Inlined CalendarQueue.push(): the insert side is as hot as
-            # the drain loop, and a C heappush sets the bar — an
-            # interpreted method call per event would forfeit the
-            # calendar's O(1) advantage to frame overhead.  Kept
-            # body-identical to push(); degenerate can only flip inside
-            # _calibrate, so it is checked only on that branch.
-            s = int(time / cal._width)
-            if s < cal._slot:
-                cal._slot = s
-            idx = s & cal._mask
-            bucket = cal._buckets[idx]
-            bucket.append((time, priority, seq, event))
-            if len(bucket) > 1:
-                cal._dirty[idx] = True
-            cal._size += 1
-            pushes = cal._pushes + 1
-            cal._pushes = pushes
-            if pushes >= cal._check_at:
-                cal._calibrate()
-                if cal.degenerate:
-                    self._fallback_to_heap()
+        event = Event(time, priority, seq, callback, args, self, self._epoch)
+        heappush(self._queue, (time, priority, seq, event))
         return event
 
     def schedule_in(self, delay, callback, *args, priority=0, pooled=False):
@@ -389,47 +202,8 @@ class Simulator:
         seq = self._seq
         self._seq = seq + 1
         time = self._now + delay
-        # Inlined _acquire(), as in schedule().
-        pool = self._event_pool
-        if pool:
-            event = pool.pop()
-            event.time = time
-            event.priority = priority
-            event.seq = seq
-            event.callback = callback
-            event.args = args
-            event.cancelled = False
-            event.sim = self
-            event.epoch = self._epoch
-            event.pooled = pooled
-            self._pool_hits += 1
-        else:
-            event = Event(time, priority, seq, callback, args, self,
-                          self._epoch)
-            if pooled:
-                event.pooled = True
-            if self._pool_on:
-                self._pool_misses += 1
-        cal = self._cal
-        if cal is None:
-            heappush(self._queue, (time, priority, seq, event))
-        else:
-            # Inlined CalendarQueue.push(), as in schedule().
-            s = int(time / cal._width)
-            if s < cal._slot:
-                cal._slot = s
-            idx = s & cal._mask
-            bucket = cal._buckets[idx]
-            bucket.append((time, priority, seq, event))
-            if len(bucket) > 1:
-                cal._dirty[idx] = True
-            cal._size += 1
-            pushes = cal._pushes + 1
-            cal._pushes = pushes
-            if pushes >= cal._check_at:
-                cal._calibrate()
-                if cal.degenerate:
-                    self._fallback_to_heap()
+        event = Event(time, priority, seq, callback, args, self, self._epoch)
+        heappush(self._queue, (time, priority, seq, event))
         return event
 
     def peek_time(self):
@@ -438,37 +212,15 @@ class Simulator:
         Pops any cancelled tombstones sitting at the head as a side
         effect (they are dead weight either way).
         """
-        cal = self._cal
-        if cal is None:
-            queue = self._queue
-            while queue:
-                head = queue[0]
-                if head[3].cancelled:
-                    heappop(queue)
-                    self._cancelled -= 1
-                    continue
-                return head[0]
-            return None
-        # Fast path: the cursor bucket already holds the minimum (clean,
-        # non-empty, tail in the current year).  advance_to() peeks per
-        # elided event, so this path is as hot as the drain loop.
-        slot = cal._slot
-        idx = slot & cal._mask
-        bucket = cal._buckets[idx]
-        if bucket and not cal._dirty[idx]:
-            entry = bucket[-1]
-            if not entry[3].cancelled and int(entry[0] / cal._width) <= slot:
-                return entry[0]
-        while True:
-            bucket = cal._locate()
-            if bucket is None:
-                return None
-            entry = bucket[-1]
-            if entry[3].cancelled:
-                cal.pop_located(bucket)
+        queue = self._queue
+        while queue:
+            head = queue[0]
+            if head[3].cancelled:
+                heappop(queue)
                 self._cancelled -= 1
                 continue
-            return entry[0]
+            return head[0]
+        return None
 
     def advance_to(self, time):
         """Move the clock to ``time`` without processing an event.
@@ -528,236 +280,82 @@ class Simulator:
         self._now = time
         self._elided += count
 
-    def _drain_calendar(self, until, deadline=None, check_every=0,
-                        wall_clock=None):
-        """The calendar engine's hot loop: fire events up to ``until``.
+    def _loop(self, until, stop_at, inline, deadline=None, check_every=0,
+              wall_clock=None):
+        """The one event loop: fire live events up to ``until`` in order.
 
-        Calendar internals (bucket array, mask, width) are hoisted into
-        locals and re-synced whenever the structure's generation moves —
-        a callback's ``schedule`` can recalibrate the calendar, and a
-        degenerate population can replace the engine entirely (checked
-        via ``self._cal``).  The scan cursor is written back before every
-        callback so a push that rewinds it stays authoritative.
+        ``stop_at`` is the fired-callback count at which the loop pauses
+        (-1: never).  With no ``deadline`` the pause is final — the
+        ``max_events`` or :meth:`step` budget.  With one, the loop reads
+        ``wall_clock`` and either stops (wall budget exhausted) or moves
+        the mark ``check_every`` events further.  Either budget costs one
+        integer comparison per event.  Cancelled tombstones are skipped
+        and never count.  ``inline`` enables event elision for the
+        duration of the loop.
 
-        Returns ``(processed, state)`` with state one of ``"drained"``
-        (queue empty), ``"horizon"`` (next event beyond ``until``),
-        ``"switched"`` (fell back to the heap engine mid-loop; the caller
-        resumes on the heap path), or ``"stalled"`` (wall-clock budget
-        exhausted, run_guarded only).
-        """
-        cal = self._cal
-        pool = self._event_pool if self._pool_on else None
-        cap = self.EVENT_POOL_CAP
-        processed = 0
-        gen = cal._gen
-        buckets = cal._buckets
-        dirty = cal._dirty
-        mask = cal._mask
-        width = cal._width
-        nbuckets = cal._nbuckets
-        while cal._size:
-            if cal._scan_debt > (nbuckets << 2):
-                # Sustained empty-bucket scanning (a drain-only phase
-                # never pushes): re-fit width/bucket-count here.
-                cal._calibrate()
-                gen = cal._gen
-                buckets = cal._buckets
-                dirty = cal._dirty
-                mask = cal._mask
-                width = cal._width
-                nbuckets = cal._nbuckets
-            # -- locate (inlined CalendarQueue._locate) ----------------
-            slot = cal._slot
-            scanned = 0
-            entry = None
-            while True:
-                idx = slot & mask
-                bucket = buckets[idx]
-                if bucket:
-                    if dirty[idx]:
-                        bucket.sort(reverse=True)
-                        dirty[idx] = False
-                    entry = bucket[-1]
-                    if int(entry[0] / width) <= slot:
-                        cal._slot = slot
-                        break
-                    entry = None
-                slot += 1
-                scanned += 1
-                if scanned > nbuckets:
-                    break
-            if scanned:
-                cal._scan_debt += scanned
-            if entry is None:
-                # Full fruitless lap: sparse far-future population; the
-                # method's direct search bounds this dequeue at O(n).
-                bucket = cal._locate()
-                entry = bucket[-1]
-                slot = cal._slot
-            idx = slot & mask
-            # -- inner drain: consecutive ready entries in this bucket --
-            # With LOAD entries per bucket-year, runs of events fire from
-            # the same (sorted) bucket; serving them here skips the
-            # cursor re-scan per event.  Each callback may perturb the
-            # structure, so the guards below detect: an engine fallback
-            # (self._cal moved), a recalibration (gen moved — the bucket
-            # alias is stale), a cursor rewind (an earlier push landed
-            # elsewhere), and a push into this bucket (dirty — re-sort
-            # and keep draining).
-            while True:
-                time = entry[0]
-                if until is not None and time > until:
-                    return processed, "horizon"
-                bucket.pop()
-                cal._size -= 1
-                event = entry[3]
-                if event.cancelled:
-                    self._cancelled -= 1
-                else:
-                    event.sim = None  # fired: a late cancel() is a no-op
-                    self._now = time
-                    event.callback(*event.args)
-                    processed += 1
-                    hook = self.event_hook
-                    if hook is not None:
-                        hook(event)
-                    if (pool is not None and event.pooled
-                            and len(pool) < cap):
-                        event.callback = None
-                        event.args = None
-                        pool.append(event)
-                    if self._cal is not cal:
-                        return processed, "switched"
-                    if gen != cal._gen:
-                        gen = cal._gen
-                        buckets = cal._buckets
-                        dirty = cal._dirty
-                        mask = cal._mask
-                        width = cal._width
-                        nbuckets = cal._nbuckets
-                        break
-                    if cal._slot != slot:
-                        break
-                    if (deadline is not None
-                            and processed % check_every == 0
-                            and wall_clock() > deadline):
-                        return processed, "stalled"
-                    if dirty[idx]:
-                        bucket.sort(reverse=True)
-                        dirty[idx] = False
-                if not bucket:
-                    break
-                entry = bucket[-1]
-                if int(entry[0] / width) > slot:
-                    break
-        return processed, "drained"
-
-    def run(self, until=None, max_events=None):
-        """Process events until the queue drains, ``until`` is reached, or
-        ``max_events`` callbacks have run.  Returns the final clock value.
-
-        With ``until``, the clock is advanced to exactly ``until`` even if
-        the last event fires earlier (convenient for measurement windows).
+        Returns None when the horizon was reached (the queue drained or
+        its next event lies beyond ``until``), after snapping the clock
+        to ``until``; otherwise the last event fired before a budget
+        stopped the loop, with the clock left at that event.
         """
         if self._running:
             raise SimulationError("run() is not reentrant")
         self._running = True
         self._run_until = until
+        self._inline_ok = inline
+        queue = self._queue
+        pop = heappop
         processed = 0
+        stopped = None
         try:
-            if max_events is None:
-                # Hot variant: attribute lookups hoisted, no budget check,
-                # and inline elision (Link burst-drain) enabled.  The
-                # event hook is still honoured — re-read each iteration so
-                # a hook attached mid-run takes effect immediately.
-                self._inline_ok = True
-                while self._cal is not None:
-                    count, state = self._drain_calendar(until)
-                    processed += count
-                    if state != "switched":
+            while queue:
+                entry = queue[0]
+                time = entry[0]
+                if until is not None and time > until:
+                    break
+                pop(queue)
+                event = entry[3]
+                if event.cancelled:
+                    self._cancelled -= 1
+                    continue
+                event.sim = None  # fired: a late cancel() is a no-op
+                self._now = time
+                event.callback(*event.args)
+                processed += 1
+                # Re-read each iteration so a hook attached mid-run takes
+                # effect immediately.
+                hook = self.event_hook
+                if hook is not None:
+                    hook(event)
+                if processed == stop_at:
+                    if deadline is None or wall_clock() > deadline:
+                        stopped = event
                         break
-                if self._cal is None:
-                    queue = self._queue
-                    pool = self._event_pool if self._pool_on else None
-                    cap = self.EVENT_POOL_CAP
-                    pop = heappop
-                    while queue:
-                        entry = queue[0]
-                        time = entry[0]
-                        if until is not None and time > until:
-                            break
-                        pop(queue)
-                        event = entry[3]
-                        if event.cancelled:
-                            self._cancelled -= 1
-                            continue
-                        event.sim = None  # fired: late cancel() is a no-op
-                        self._now = time
-                        event.callback(*event.args)
-                        processed += 1
-                        hook = self.event_hook
-                        if hook is not None:
-                            hook(event)
-                        if (pool is not None and event.pooled
-                                and len(pool) < cap):
-                            event.callback = None
-                            event.args = None
-                            pool.append(event)
-            else:
-                while True:
-                    if processed >= max_events:
-                        break
-                    event = self._pop_next(until)
-                    if event is None:
-                        break
-                    event.sim = None  # fired: a late cancel() is a no-op
-                    self._now = event.time
-                    event.callback(*event.args)
-                    processed += 1
-                    if self.event_hook is not None:
-                        self.event_hook(event)
+                    stop_at += check_every
         finally:
             self._running = False
             self._inline_ok = False
             self._run_until = None
             self._processed += processed
-        if until is not None and self._now < until:
+        if stopped is None and until is not None and self._now < until:
             self._now = until
-        return self._now
+        return stopped
 
-    def _pop_next(self, until=None):
-        """Pop the earliest live event at or before ``until``, or None.
+    def run(self, until=None, max_events=None):
+        """Process events until the queue drains, ``until`` is reached, or
+        ``max_events`` callbacks have run.  Returns the final clock value.
 
-        The engine-agnostic slow-path pop used by the budgeted run
-        variant and :meth:`step` — correctness over speed.
+        When the horizon is reached, the clock is advanced to exactly
+        ``until`` even if the last event fires earlier (convenient for
+        measurement windows).  A run cut short by ``max_events`` leaves
+        the clock at the last event it fired, so a later run resumes from
+        there without moving time backwards.
         """
-        cal = self._cal
-        if cal is None:
-            queue = self._queue
-            while queue:
-                entry = queue[0]
-                if until is not None and entry[0] > until:
-                    return None
-                heappop(queue)
-                event = entry[3]
-                if event.cancelled:
-                    self._cancelled -= 1
-                    continue
-                return event
-            return None
-        while True:
-            bucket = cal._locate()
-            if bucket is None:
-                return None
-            entry = bucket[-1]
-            if until is not None and entry[0] > until:
-                return None
-            cal.pop_located(bucket)
-            event = entry[3]
-            if event.cancelled:
-                self._cancelled -= 1
-                continue
-            return event
+        if max_events is None:
+            self._loop(until, -1, True)
+        elif max_events > 0:
+            self._loop(until, max_events, False)
+        return self._now
 
     def run_guarded(self, until, max_wall=None, check_every=1024,
                     wall_clock=None):
@@ -766,90 +364,30 @@ class Simulator:
         Every ``check_every`` processed events the guard compares wall
         time against ``max_wall`` seconds; if the budget is exhausted the
         loop aborts and returns ``False`` *without* snapping the clock to
-        ``until`` (unlike :meth:`run`, which advances to the horizon even
-        when it exits early) — the caller needs the true progress point to
-        decide whether simulated time is advancing at all.  Returns
-        ``True`` when the horizon was reached (queue drained or overtaken,
-        clock snapped to ``until``).
+        ``until`` — the caller needs the true progress point to decide
+        whether simulated time is advancing at all.  Returns ``True``
+        when the horizon was reached (queue drained or overtaken, clock
+        snapped to ``until``).
 
         ``wall_clock`` is injectable (defaults to ``time.monotonic``) so
         stall detection is testable without real waiting.  The guarded
         loop never enables inline elision: a stalled component could
         otherwise hide arbitrarily many advances between budget checks.
         """
-        if self._running:
-            raise SimulationError("run() is not reentrant")
+        if max_wall is None:
+            return self._loop(until, -1, False) is None
         if wall_clock is None:
-            import time as _time
-
-            wall_clock = _time.monotonic
-        deadline = None if max_wall is None else wall_clock() + max_wall
-        self._running = True
-        self._run_until = until
-        processed = 0
-        completed = True
-        try:
-            while self._cal is not None:
-                count, state = self._drain_calendar(
-                    until, deadline=deadline, check_every=check_every,
-                    wall_clock=wall_clock)
-                processed += count
-                if state == "stalled":
-                    completed = False
-                if state != "switched":
-                    break
-            if self._cal is None and completed:
-                queue = self._queue
-                pool = self._event_pool if self._pool_on else None
-                cap = self.EVENT_POOL_CAP
-                while queue:
-                    entry = queue[0]
-                    if until is not None and entry[0] > until:
-                        break
-                    heappop(queue)
-                    event = entry[3]
-                    if event.cancelled:
-                        self._cancelled -= 1
-                        continue
-                    event.sim = None  # fired: a late cancel() is a no-op
-                    self._now = entry[0]
-                    event.callback(*event.args)
-                    processed += 1
-                    if self.event_hook is not None:
-                        self.event_hook(event)
-                    if pool is not None and event.pooled and len(pool) < cap:
-                        event.callback = None
-                        event.args = None
-                        pool.append(event)
-                    if (deadline is not None
-                            and processed % check_every == 0
-                            and wall_clock() > deadline):
-                        completed = False
-                        break
-        finally:
-            self._running = False
-            self._run_until = None
-            self._processed += processed
-        if completed and until is not None and self._now < until:
-            self._now = until
-        return completed
+            wall_clock = monotonic
+        return self._loop(until, check_every, False, wall_clock() + max_wall,
+                          check_every, wall_clock) is None
 
     def step(self):
         """Process exactly one (non-cancelled) event; returns it or None.
 
-        The returned handle stays with the caller, so it is never
-        recycled into the event pool.
+        Like :meth:`run`, it may not be called from inside a running
+        callback.
         """
-        event = self._pop_next()
-        if event is None:
-            return None
-        event.sim = None  # fired: a late cancel() is a no-op
-        self._now = event.time
-        event.callback(*event.args)
-        self._processed += 1
-        if self.event_hook is not None:
-            self.event_hook(event)
-        return event
+        return self._loop(None, 1, False)
 
     # ------------------------------------------------------------------
     # Checkpoint / restore
@@ -866,15 +404,12 @@ class Simulator:
         it is neither lost nor doubled.
 
         The event list is sorted into ``(time, priority, seq)`` order, so
-        the same simulation state snapshots to byte-identical payloads
-        under every engine (the heap's array layout and the calendar's
-        bucket layout are storage details).
+        the same simulation state snapshots to a byte-identical payload
+        whatever the heap's array layout.
         """
-        cal = self._cal
-        source = self._queue if cal is None else cal.entries()
         events = [
             (e.time, e.priority, e.seq, e.callback, e.args)
-            for _t, _p, _s, e in source
+            for _t, _p, _s, e in self._queue
             if not e.cancelled and (keep is None or keep(e))
         ]
         events.sort(key=lambda item: (item[0], item[1], item[2]))
@@ -891,36 +426,22 @@ class Simulator:
         Must not be called from inside a running event loop.  Event
         handles issued before the snapshot refer to the abandoned
         timeline (their ``epoch`` no longer matches): do not ``cancel()``
-        them after restoring.  The active engine is rebuilt in place; a
-        calendar that had fallen back to the heap stays on the heap (the
-        population that forced the fallback is part of the restored
-        state's history, not its future — the calendar re-engages on the
-        next explicit construction).
+        them after restoring.
         """
         if self._running:
             raise SimulationError("cannot restore while the loop is running")
         self._epoch += 1
         epoch = self._epoch
-        entries = [
+        self._queue = [
             (time, priority, seq,
              Event(time, priority, seq, callback, args, self, epoch))
             for time, priority, seq, callback, args in snap["events"]
         ]
-        if self._cal is None:
-            self._queue = entries
-            heapq.heapify(self._queue)
-        else:
-            self._resizes_base += self._cal.resizes
-            cal = CalendarQueue()
-            for entry in entries:
-                cal.push(entry)
-            self._cal = cal
-            self._queue = []
+        heapq.heapify(self._queue)
         self._cancelled = 0
         self._now = snap["now"]
         self._seq = snap["seq"]
         self._processed = snap["processed"]
 
     def __repr__(self):
-        return (f"Simulator(now={self._now!r}, pending={self.pending}, "
-                f"engine={self.engine!r})")
+        return f"Simulator(now={self._now!r}, pending={self.pending})"

@@ -58,21 +58,10 @@ class Link:
         forces the event-per-packet loop; the results are identical either
         way (the differential suite enforces this), so False is only
         useful for A/B timing and the equivalence tests themselves.
-    packet_pool:
-        Optional :class:`~repro.core.packet.PacketPool` shared with the
-        traffic sources.  The link recycles each transmitted packet the
-        moment nothing downstream can retain it — which requires no
-        ``receiver``, and a ``trace`` that does not keep packet
-        references (``trace.retains_packets`` false, e.g. the serve
-        DigestTrace, or no trace at all).  When those conditions do not
-        hold the pool is still used for tail drops with no
-        ``drop_callback`` attached, and sources simply allocate fresh
-        packets once the free list runs dry — pooling degrades to
-        exactly today's behaviour, never to a dangling reference.
     """
 
     def __init__(self, sim, scheduler, receiver=None, propagation_delay=0.0,
-                 trace=None, burst_drain=True, packet_pool=None):
+                 trace=None, burst_drain=True):
         if propagation_delay < 0:
             raise SimulationError(
                 f"propagation delay must be >= 0, got {propagation_delay!r}"
@@ -83,14 +72,6 @@ class Link:
         self.propagation_delay = propagation_delay
         self.trace = trace
         self.burst_drain = burst_drain
-        self.packet_pool = packet_pool
-        #: The pool, when transmitted packets are provably unreferenced
-        #: after their trace record is folded; None disables recycling.
-        self._recycle = None
-        if (packet_pool is not None and receiver is None
-                and (trace is None
-                     or not getattr(trace, "retains_packets", True))):
-            self._recycle = packet_pool
         self._transmitting = False
         #: (ScheduledPacket, finish Event) while transmitting, else None.
         self._current = None
@@ -176,11 +157,6 @@ class Link:
             self._packets_dropped += 1
             if self.drop_callback is not None:
                 self.drop_callback(packet, now)
-            elif self.packet_pool is not None:
-                # Tail-dropped and nothing retains it (obs drop events
-                # carry the uid, not the object): straight back to the
-                # free list.
-                self.packet_pool.release(packet)
             return False
         if self.trace is not None:
             self.trace.record_arrival(packet, now)
@@ -237,10 +213,8 @@ class Link:
     def _start_next(self, now):
         record = self.scheduler.dequeue(now=now)
         self._transmitting = True
-        # pooled: the handle lives in _current, which _finish clears
-        # before any other code can run — nothing survives the callback.
         event = self.sim.schedule(record.finish_time, self._finish, record,
-                                  priority=-1, pooled=True)
+                                  priority=-1)
         self._current = (record, event)
 
     def _finish(self, record):
@@ -252,8 +226,6 @@ class Link:
         self._busy_time += now - record.start_time
         if self.trace is not None:
             self.trace.record_service(record)
-        if self._recycle is not None:
-            self._recycle.release(record.packet)
         self._transmitting = False
         if not self._paused and not self.scheduler.is_empty:
             if (self.burst_drain and self.receiver is None
@@ -265,7 +237,7 @@ class Link:
             if self.propagation_delay > 0:
                 sim.schedule(now + self.propagation_delay,
                              self.receiver, record.packet,
-                             now + self.propagation_delay, pooled=True)
+                             now + self.propagation_delay)
             else:
                 self.receiver(record.packet, now)
 
@@ -334,7 +306,7 @@ class Link:
                     records.pop()
                     self._transmitting = True
                     event = sim.schedule(finish, self._finish, last,
-                                         priority=-1, pooled=True)
+                                         priority=-1)
                     self._current = (last, event)
                     return
                 if scheduler.is_empty:
@@ -360,16 +332,11 @@ class Link:
                 self._busy_time += busy
                 if self.trace is not None:
                     self.trace.record_services(records)
-                recycle = self._recycle
-                if recycle is not None:
-                    for record in records:
-                        recycle.release(record.packet)
 
     def _drain_steps(self, sim, now, scheduler):
         """Packet-at-a-time drain under a non-passive observer."""
         dequeue = scheduler.dequeue
         trace = self.trace
-        recycle = self._recycle
         bound = sim.peek_time()
         horizon = sim._run_until
         # Obs sinks on this path are arbitrary user code (one could
@@ -389,7 +356,7 @@ class Link:
                     # Event granularity needed: back to the event loop.
                     self._transmitting = True
                     event = sim.schedule(finish, self._finish, record,
-                                         priority=-1, pooled=True)
+                                         priority=-1)
                     self._current = (record, event)
                     return
                 advance(finish)
@@ -399,8 +366,6 @@ class Link:
                 busy += finish - record.start_time
                 if trace is not None:
                     trace.record_service(record)
-                if recycle is not None:
-                    recycle.release(record.packet)
                 if scheduler.is_empty:
                     return
         finally:
@@ -494,11 +459,6 @@ class Link:
         from repro.core.packet import Packet
         from repro.core.scheduler import ScheduledPacket
 
-        if self.packet_pool is not None:
-            # The free list may hold pre-rollback objects; restored
-            # packets are rebuilt fresh, so flush rather than reason
-            # about which timeline each pooled allocation came from.
-            self.packet_pool.flush()
         uid_map = self.scheduler.restore(snap["scheduler"])
         if self._current is not None:
             # Drop the stale finish event of the abandoned timeline.  The
@@ -534,7 +494,7 @@ class Link:
             )
             if rearm:
                 event = self.sim.schedule(record.finish_time, self._finish,
-                                          record, priority=-1, pooled=True)
+                                          record, priority=-1)
                 self._current = (record, event)
         return uid_map
 

@@ -54,13 +54,6 @@ class Source:
     #: classic per-packet ``next_gap()`` path.
     TIMETABLE_CHUNK = 0
 
-    #: Optional :class:`~repro.core.packet.PacketPool` the source draws
-    #: packets from (set by pipeline builders that also hand the pool to
-    #: the Link for recycling).  Acquired packets get a fresh uid exactly
-    #: as construction would, so the uid stream — and every digest built
-    #: on it — is identical with or without the pool.
-    packet_pool = None
-
     def __init__(self, flow_id, packet_length, start_time=0.0, stop_time=None):
         if packet_length <= 0:
             raise ConfigurationError(
@@ -97,20 +90,17 @@ class Source:
             self._timetable = ()
             self._timetable_idx = 0
             self._pending = self.sim.schedule(self.start_time,
-                                              self._emit_timetable,
-                                              pooled=True)
+                                              self._emit_timetable)
         else:
-            self._pending = self.sim.schedule(self.start_time, self._emit,
-                                              pooled=True)
+            self._pending = self.sim.schedule(self.start_time, self._emit)
         return self
 
     # -- subclass API ----------------------------------------------------
     def _emit(self):
         """Emit one packet now and schedule the next one.
 
-        Every exit either re-arms ``_pending`` or clears it: emission
-        events are scheduled ``pooled=True``, so no reference to a fired
-        handle may survive this callback (the engine recycles it).
+        Every exit either re-arms ``_pending`` or clears it, so the handle
+        always names the next emission (or none).
         """
         now = self.sim.now
         if self.stop_time is not None and now >= self.stop_time:
@@ -119,8 +109,7 @@ class Source:
         self._send_packet(now)
         gap = self.next_gap()
         if gap is not None:
-            self._pending = self.sim.schedule(now + gap, self._emit,
-                                              pooled=True)
+            self._pending = self.sim.schedule(now + gap, self._emit)
         else:
             self._pending = None
 
@@ -150,8 +139,7 @@ class Source:
                 self._pending = None
                 return
         self._timetable_idx = i + 1
-        self._pending = self.sim.schedule(times[i], self._emit_timetable,
-                                          pooled=True)
+        self._pending = self.sim.schedule(times[i], self._emit_timetable)
 
     def _next_times(self, now, n):
         """Up to ``n`` upcoming absolute emission times after ``now``.
@@ -175,13 +163,8 @@ class Source:
 
     def _send_packet(self, now, length=None):
         length = length if length is not None else self.packet_length
-        pool = self.packet_pool
-        if pool is not None:
-            packet = pool.acquire(self.flow_id, length, arrival_time=now,
-                                  seqno=self.packets_sent)
-        else:
-            packet = Packet(self.flow_id, length, arrival_time=now,
-                            seqno=self.packets_sent)
+        packet = Packet(self.flow_id, length, arrival_time=now,
+                        seqno=self.packets_sent)
         self.packets_sent += 1
         self.bits_sent += length
         self.link.send(packet)
@@ -251,8 +234,7 @@ class Source:
         if pending_time is not None:
             callback = (self._emit_timetable if self.TIMETABLE_CHUNK > 0
                         else self._emit)
-            self._pending = self.sim.schedule(pending_time, callback,
-                                              pooled=True)
+            self._pending = self.sim.schedule(pending_time, callback)
         return self
 
     def _snapshot_extra(self):
@@ -589,8 +571,7 @@ class TraceSource(Source):
         if i < n:
             # Keep the handle: snapshot() needs the pending emission time
             # to make the trace stream resumable after a checkpoint.
-            self._pending = self.sim.schedule(entries[i][0], self._emit,
-                                              pooled=True)
+            self._pending = self.sim.schedule(entries[i][0], self._emit)
         else:
             self._pending = None
 
@@ -646,8 +627,7 @@ class ShapedSource(Source):
         if release <= now:
             self._forward(packet)
         else:
-            # Handle discarded immediately: safe to recycle once fired.
-            self.sim.schedule(release, self._forward, packet, pooled=True)
+            self.sim.schedule(release, self._forward, packet)
 
     def _forward(self, packet):
         packet.arrival_time = self.sim.now
