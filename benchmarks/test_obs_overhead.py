@@ -7,9 +7,11 @@ pins that contract: a WF2Q+ run with *no sink attached* must stay within
 sites deleted outright.
 
 The control subclass below carries verbatim pre-instrumentation bodies of
-the three methods that gained emission sites (``enqueue``, ``dequeue``,
-``_advance_virtual`` / busy-period reset in ``_on_enqueue``); everything
-else is shared, so any measured gap is exactly the cost of the guards.
+the methods that gained emission sites (``enqueue``, ``dequeue``, the
+busy-period reset in ``_on_enqueue``); its ``_advance_virtual`` is the
+production two-heap eq. (27) floor with only the emission site removed.
+Everything else is shared, so any measured gap is exactly the cost of the
+guards.
 """
 
 import time
@@ -98,10 +100,10 @@ class SeedEquivalentWF2QPlus(WF2QPlusScheduler):
     def _advance_virtual(self, now, floor=True):
         tau = now - self._virtual_stamp
         v = self._virtual + tau
-        if floor and self._starts:
-            min_start = self._starts.min_key()
-            if min_start > v:
-                v = min_start
+        if floor and not self._eligible.entries:
+            ient = self._ineligible.entries
+            if ient and ient[0][0][0] > v:
+                v = ient[0][0][0]
         self._virtual = v
         self._virtual_stamp = now
 

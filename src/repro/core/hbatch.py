@@ -567,7 +567,7 @@ class VectorHWF2QPlus(HPFQScheduler):
                         if rekeyed is not None:
                             rs = rekeyed.start_tag
                             in_eligible = rekeyed in eligible.pos
-                            if len(eent) > (1 if in_eligible else 0):
+                            if len(eligible.pos) > (1 if in_eligible else 0):
                                 threshold = node.virtual
                             else:
                                 smin = rs

@@ -311,7 +311,7 @@ class WF2QPlusNodePolicy(NodePolicy):
             # heaps; it is never in the ineligible heap.
             rs = rekeyed.start_tag
             in_eligible = rekeyed in eligible.pos
-            if len(eent) > (1 if in_eligible else 0):
+            if len(eligible.pos) > (1 if in_eligible else 0):
                 # Some *other* eligible child exists => Smin <= V_n.
                 threshold = node.virtual
             else:

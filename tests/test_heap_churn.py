@@ -6,7 +6,9 @@ seeded op mix (push / pop / update / remove / replace_top / move_top_to /
 peeks) runs against both; every observable result must match and
 ``check_invariants`` must hold throughout.  A snapshot is taken mid-storm
 and later restored — the post-restore op tail must replay the *identical*
-observable sequence, FIFO tie-breaks included.
+observable sequence, FIFO tie-breaks included.  A second, update/remove-
+heavy churn over two heaps (the eligible/ineligible pair of WF2Q+) keeps
+the lazily invalidated entries within the sweep rule after every op.
 """
 
 import bisect
@@ -14,7 +16,7 @@ import random
 
 import pytest
 
-from repro.dstruct.heap import IndexedHeap
+from repro.dstruct.heap import SWEEP_MIN_STALE, IndexedHeap
 
 
 class ModelHeap:
@@ -197,4 +199,120 @@ def test_restore_preserves_public_aliases():
     heap.push("x", 1)
     heap.restore(heap.snapshot())
     assert heap.entries is entries_alias and heap.pos is pos_alias
-    assert pos_alias["x"] == 0
+    assert "x" in pos_alias
+
+
+def stale_entries(heap):
+    """Invalidated entries still in the list (public view)."""
+    return len(heap.entries) - len(heap)
+
+
+def drive_pair(heaps, models, rng, steps):
+    """Update/remove-heavy churn over two heaps with cross-heap moves.
+
+    Most ops touch non-top items, which leave stale entries behind; every
+    op is checked against the models, and after each one both heaps must
+    pass ``check_invariants`` and keep stale entries within the sweep rule.
+    Returns how many sweeps were seen.
+    """
+    next_id = 0
+    sweeps = 0
+    for _ in range(steps):
+        side = rng.randrange(2)
+        heap, model = heaps[side], models[side]
+        other, other_model = heaps[1 - side], models[1 - side]
+        before = stale_entries(heap)
+        roll = rng.random()
+        if roll < 0.20 or len(heap) < 8:
+            item = f"i{next_id}"
+            next_id += 1
+            key = rng.randint(0, 30)
+            heap.push(item, key)
+            model.push(item, key)
+        elif roll < 0.55:
+            item = rng.choice(list(heap))
+            key = rng.randint(0, 30)
+            heap.update(item, key)
+            model.update(item, key)
+        elif roll < 0.75:
+            item = rng.choice(list(heap))
+            assert heap.remove(item) == model.remove(item)
+        elif roll < 0.85:
+            assert heap.pop() == model.pop()
+        else:
+            key = rng.randint(0, 30)
+            item, _key = model.pop()
+            other_model.push(item, key)
+            assert heap.move_top_to(other, key) == item
+        if before >= SWEEP_MIN_STALE - 1 and stale_entries(heap) == 0:
+            sweeps += 1
+        for h, m in zip(heaps, models):
+            h.check_invariants()
+            stale = stale_entries(h)
+            assert stale < SWEEP_MIN_STALE or 2 * stale <= len(h.entries)
+            assert len(h) == len(m)
+            if h:
+                assert h.peek() == m.peek()
+    return sweeps
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_rekey_heavy_churn_keeps_stale_entries_swept(seed):
+    rng = random.Random(2000 + seed)
+    heaps = [IndexedHeap(), IndexedHeap()]
+    models = [ModelHeap(), ModelHeap()]
+    assert drive_pair(heaps, models, rng, steps=3000) > 0
+    for heap, model in zip(heaps, models):
+        while heap:
+            assert heap.pop() == model.pop()
+        assert not model.entries and not heap.entries
+
+
+#: A snapshot as the sift-loop heap of earlier versions wrote it: entries
+#: in heap-slot order (neither sorted nor in insertion order), with gaps in
+#: ``seq`` left by removed and re-keyed items.
+SLOT_LAYOUT_SNAPSHOT = {
+    "seq": 13,
+    "entries": [(2, 3, "d"), (3, 12, "k"), (5, 8, "i"), (4, 0, "a"),
+                (4, 9, "j"), (6, 4, "e"), (6, 6, "g"), (6, 11, "h")],
+}
+
+
+def test_slot_layout_snapshot_restores_and_replays_identically():
+    logs = []
+    for _ in range(2):
+        heap, model = IndexedHeap(), ModelHeap()
+        heap.restore(SLOT_LAYOUT_SNAPSHOT)
+        model.restore({"seq": SLOT_LAYOUT_SNAPSHOT["seq"],
+                       "entries": sorted(SLOT_LAYOUT_SNAPSHOT["entries"])})
+        heap.check_invariants()
+        log = []
+        drive(heap, model, random.Random(77), steps=200, log=log,
+              next_id=100)
+        while heap:
+            pair = heap.pop()
+            assert pair == model.pop()
+            log.append(("drain", pair))
+        logs.append(log)
+    assert logs[0] == logs[1]
+    # Restored pop order is the snapshot's (key, seq) order, ties included.
+    heap = IndexedHeap()
+    heap.restore(SLOT_LAYOUT_SNAPSHOT)
+    assert [heap.pop() for _ in range(len(heap))] == [
+        (item, key) for key, _seq, item
+        in sorted(SLOT_LAYOUT_SNAPSHOT["entries"])]
+
+
+def test_move_top_to_duplicate_leaves_both_heaps_unchanged():
+    source, target = IndexedHeap(), IndexedHeap()
+    source.push("x", 1)
+    source.push("y", 2)
+    target.push("x", 5)
+    before = (source.snapshot(), target.snapshot())
+    with pytest.raises(ValueError):
+        source.move_top_to(target, 0)
+    assert (source.snapshot(), target.snapshot()) == before
+    source.check_invariants()
+    target.check_invariants()
+    assert [source.pop(), source.pop()] == [("x", 1), ("y", 2)]
+    assert target.pop() == ("x", 5)
