@@ -639,7 +639,7 @@ class VectorHWF2QPlus(HPFQScheduler):
                                 node.finish_tag = start + dt
                             # Fused on_select: V <- threshold + L/r.
                             node.virtual = threshold + dt
-                            node.reference += dt
+                            node.served += head.length
                             if index == plen:
                                 break
                             rekeyed = node
@@ -677,7 +677,7 @@ class VectorHWF2QPlus(HPFQScheduler):
                 path = leaf.path
                 append(ScheduledPacket(packet, now, finish,
                                        leaf.start_tag, leaf.finish_tag))
-                leaf.reference += length / leaf.rate
+                leaf.served += length
                 in_flight = packet
                 count += 1
                 clock = now

@@ -25,9 +25,13 @@ The three operations follow the paper's pseudocode:
   restarted, which re-selects bottom-up through the cleared path.
 
 Reference time (Section 4.1): node ``n``'s clock is
-``T_n = W_n(0, t) / r_n``, advanced by ``L / r_n`` each time the node selects
-a packet of length L.  Consequently the whole hierarchy is *event-driven* —
-no wall-clock input is needed beyond busy-period boundaries.
+``T_n = W_n(0, t) / r_n``, where ``W_n`` is the number of bits the node has
+selected.  Each node counts ``W_n`` in bits (``served += L`` per selection,
+an int add for integer lengths) and derives ``T_n`` only when it is read
+(:meth:`HPFQScheduler.node_reference_time`); no scheduling decision reads
+either, and ``W_n`` stays put when ``r_n`` changes.  Consequently the whole
+hierarchy is *event-driven* — no wall-clock input is needed beyond
+busy-period boundaries.
 
 Hot-path layout
 ---------------
@@ -93,22 +97,29 @@ class _HNode:
     chain ``(self, parent, ..., root)`` — so the per-packet ARRIVE /
     RESET-PATH / RESTART-NODE walks iterate over a tuple of direct
     references instead of chasing ``parent`` pointers or recursing.  All
-    mutable per-node state (tags, virtual/reference time, epoch) lives in
+    mutable per-node state (tags, virtual time, service, epoch) lives in
     ``__slots__``: one slot load per access, no instance dict.  (A
     parallel-array layout over ``node_id`` was measured too; in CPython
     ``list[i]`` indexing plus the id indirection costs more than the
     direct slot access, so the slots layout is the flat representation.)
+
+    ``served`` is ``W_n(0, t)``, the bits selected through the node, kept
+    as a plain sum of packet lengths; the reference time ``T_n = W_n /
+    r_n`` is derived from it on read.  ``rate``, ``inv_rate`` and the
+    :meth:`span` memo change only through :meth:`set_rate`.
     """
 
     __slots__ = (
         "name", "share", "rate", "inv_rate", "parent", "children", "is_leaf",
         "child_index",
+        # L / r_n for the last integer length (see span)
+        "memo_length", "memo_span",
         # flattened-tree layout (assigned once by HPFQScheduler._flatten)
         "node_id", "path",
         # child-role state: the logical queue to the parent
         "head", "start_tag", "finish_tag",
         # server-role state
-        "policy", "virtual", "reference", "busy", "active_child",
+        "policy", "virtual", "served", "busy", "active_child",
         # lazy busy-period reset stamp (see HPFQScheduler._tree_epoch)
         "epoch",
         # leaf-role state (the physical queue lives in FlowState)
@@ -118,10 +129,7 @@ class _HNode:
     def __init__(self, name, share, rate, parent, is_leaf):
         self.name = name
         self.share = share
-        self.rate = rate
-        #: 1 / r_n, precomputed once — node rates are fixed at build time,
-        #: so tag updates pay one multiply instead of a division.
-        self.inv_rate = 1 / rate
+        self.set_rate(rate)
         self.parent = parent
         self.children = []
         self.child_index = 0
@@ -133,7 +141,7 @@ class _HNode:
         self.finish_tag = 0
         self.policy = None
         self.virtual = 0
-        self.reference = 0
+        self.served = 0
         self.busy = False
         self.active_child = None
         self.epoch = 0
@@ -141,6 +149,37 @@ class _HNode:
 
     def __repr__(self):  # pragma: no cover - debug aid
         return f"_HNode({self.name!r}, r={self.rate!r}, busy={self.busy})"
+
+    def set_rate(self, rate):
+        """Set r_n and its cached inverse, and forget the :meth:`span` memo.
+
+        Every rate change (construction, a rebase after a share, link-rate
+        or topology change, a restore) goes through here, so no memoised
+        ``L / r_n`` can outlive the rate it was computed from.
+        """
+        self.rate = rate
+        #: 1 / r_n, so tag updates pay one multiply instead of a division.
+        self.inv_rate = 1 / rate
+        self.memo_length = None
+        self.memo_span = None
+
+    def span(self, length):
+        """``L / r_n`` (as ``L * inv_rate``) for a packet of ``length`` bits.
+
+        Memoised for the last ``int`` length: with fixed-size packets
+        every tag update and virtual-time advance after the first reuses
+        one product, which saves a multiply per level — a ``Fraction``
+        multiply under exact rates.  Other lengths bypass the memo:
+        ``65536 == 65536.0``, but ``65536 * q`` is a ``Fraction`` while
+        ``65536.0 * q`` is a float.
+        """
+        if type(length) is int:
+            if length == self.memo_length:
+                return self.memo_span
+            span = self.memo_span = length * self.inv_rate
+            self.memo_length = length
+            return span
+        return length * self.inv_rate
 
 
 # ----------------------------------------------------------------------
@@ -177,7 +216,7 @@ class NodePolicy:
         raise NotImplementedError
 
     def on_select(self, child, length):
-        """Update node virtual/reference time for a selected packet."""
+        """Advance the node's virtual time and service for one packet."""
         raise NotImplementedError
 
     def reset(self):
@@ -372,9 +411,8 @@ class WF2QPlusNodePolicy(NodePolicy):
         # V_n <- max(V_n, Smin_n) + L/r_n, with max(V_n, Smin_n) already
         # computed as the eligibility threshold by the paired ``select``.
         node = self.node
-        dt = length * node.inv_rate
-        node.virtual = self._threshold + dt
-        node.reference += dt
+        node.virtual = self._threshold + node.span(length)
+        node.served += length
 
     def reset(self):
         self._eligible.clear()
@@ -433,10 +471,9 @@ class WFQNodePolicy(NodePolicy):
 
     def on_select(self, child, length):
         node = self.node
-        dt = length * node.inv_rate
-        node.reference += dt
+        node.served += length
         if self._active_phi > 0:
-            node.virtual += dt / self._active_phi
+            node.virtual += node.span(length) / self._active_phi
 
     def reset(self):
         self._finishes.clear()
@@ -489,7 +526,7 @@ class SCFQNodePolicy(NodePolicy):
     def on_select(self, child, length):
         node = self.node
         node.virtual = child.finish_tag
-        node.reference += length * node.inv_rate
+        node.served += length
 
     def reset(self):
         self._finishes.clear()
@@ -526,7 +563,7 @@ class SFQNodePolicy(NodePolicy):
     def on_select(self, child, length):
         node = self.node
         node.virtual = child.start_tag
-        node.reference += length * node.inv_rate
+        node.served += length
 
     def reset(self):
         self._starts.clear()
@@ -669,7 +706,7 @@ class HPFQScheduler(PacketScheduler):
         itself here the first time the new busy period reaches it.
         ``head``/``busy``/``active_child`` need no lazy handling: the final
         RESET-PATH already cleared them on every node, and the per-node
-        policy heaps drained with them.  ``reference`` is cumulative and
+        policy heaps drained with them.  ``served`` is cumulative and
         deliberately survives (W_n(0, t)).
         """
         if node.epoch != self._tree_epoch:
@@ -681,22 +718,34 @@ class HPFQScheduler(PacketScheduler):
     # ------------------------------------------------------------------
     # Introspection
     # ------------------------------------------------------------------
+    def _node(self, name):
+        """The runtime node called ``name``; HierarchyError when unknown."""
+        try:
+            return self._nodes[name]
+        except KeyError:
+            raise HierarchyError(f"unknown node: {name!r}") from None
+
     def node_virtual_time(self, name):
-        node = self._nodes[name]
+        node = self._node(name)
         self._touch(node)
         return node.virtual
 
     def node_reference_time(self, name):
-        return self._nodes[name].reference
+        """T_n = W_n(0, t) / r_n (Section 4.1), at the node's current rate."""
+        node_obj = self._node(name)
+        return node_obj.served / node_obj.rate
 
     def node_service(self, name):
-        """W_n(0, t): bits selected for service through node ``name``."""
-        node_obj = self._nodes[name]
-        return node_obj.reference * node_obj.rate
+        """W_n(0, t): bits selected for service through node ``name``.
+
+        The plain sum of the selected packets' lengths, kept as it
+        accrues, so a rate change does not touch it.
+        """
+        return self._node(name).served
 
     def guaranteed_rate(self, flow_id):
         """r_i of a node or leaf: its phi-fraction of the link rate."""
-        return self._nodes[flow_id].rate
+        return self._node(flow_id).rate
 
     def system_virtual_time(self, now=None):
         """The root node's virtual time (the hierarchy-wide clock)."""
@@ -757,7 +806,7 @@ class HPFQScheduler(PacketScheduler):
         if parent.virtual > start:
             start = parent.virtual
         leaf.start_tag = start
-        leaf.finish_tag = start + packet.length * leaf.inv_rate
+        leaf.finish_tag = start + leaf.span(packet.length)
         if self._obs is None and not parent.busy and parent.policy.fast:
             # Defer the head-set into the parent's fused re-selection.
             self._restart_path(path, 1, leaf)
@@ -815,7 +864,8 @@ class HPFQScheduler(PacketScheduler):
                 node.active_child = child
                 head = child.head
                 node.head = head
-                dt = head.length * node.inv_rate
+                length = head.length
+                dt = node.span(length)
                 if parent is not None:
                     if node.busy:
                         start = node.finish_tag
@@ -830,9 +880,9 @@ class HPFQScheduler(PacketScheduler):
                     # Fused on_select: V_n <- max(V_n, Smin_n) + L/r_n,
                     # with max(V, Smin) already computed as the threshold.
                     node.virtual = threshold + dt
-                    node.reference += dt
+                    node.served += length
                 else:
-                    pol.on_select(child, head.length)
+                    pol.on_select(child, length)
                 if obs is not None:
                     self._emit_head(node, child.name)
                     obs.emit(VirtualTimeUpdate(
@@ -880,7 +930,7 @@ class HPFQScheduler(PacketScheduler):
             head = queue[0]
             leaf.head = head
             leaf.start_tag = leaf.finish_tag
-            leaf.finish_tag = leaf.start_tag + head.length * leaf.inv_rate
+            leaf.finish_tag = leaf.start_tag + leaf.span(head.length)
             if obs is None and parent.policy.fast:
                 rekeyed = leaf
             else:
@@ -945,10 +995,9 @@ class HPFQScheduler(PacketScheduler):
             raise HierarchyError(
                 "H-PFQ invariant violated: dequeued packet is not the root head"
             )
-        # Leaves accrue reference time here (interior nodes accrue at
-        # selection inside their parent's on_select).
-        leaf = self._nodes[packet.flow_id]
-        leaf.reference += packet.length / leaf.rate
+        # Leaves accrue service here (interior nodes accrue at their own
+        # selections in the RESTART walk).
+        self._nodes[packet.flow_id].served += packet.length
         self._in_flight = packet
 
     def _make_record(self, state, packet, now, finish):
@@ -1054,7 +1103,7 @@ class HPFQScheduler(PacketScheduler):
 
     def _dequeue_chunk(self, n, limit, now, records):
         """Amortized dequeue: base bookkeeping and the select/record/
-        reference accrual inlined; the tree walks themselves stay in the
+        service accrual inlined; the tree walks themselves stay in the
         iterative RESET-PATH / RESTART kernels.  Shared contract as
         :meth:`repro.core.wf2qplus.WF2QPlusScheduler._dequeue_chunk`.
         """
@@ -1111,7 +1160,7 @@ class HPFQScheduler(PacketScheduler):
                 leaf = nodes[flow_id]
                 append(ScheduledPacket(packet, now, finish,
                                        leaf.start_tag, leaf.finish_tag))
-                leaf.reference += length / leaf.rate
+                leaf.served += length
                 self._in_flight = packet
                 count += 1
                 clock = now
@@ -1150,14 +1199,16 @@ class HPFQScheduler(PacketScheduler):
         Called after a share, link-rate or topology change.  For every
         descendant whose rate changed:
 
-        * ``inv_rate`` is refreshed;
-        * the cumulative reference time follows Section 4.1's construction
-          ``T_n = W_n(0, t) / r_n``: the work already received is an
-          invariant of the change, so ``T' = T * r_old / r_new``;
+        * :meth:`_HNode.set_rate` refreshes ``inv_rate`` and drops the
+          ``L / r`` memo;
         * a headed child keeps its start tag (service owed is a baseline,
           exactly as in flat WF2Q+'s :meth:`set_share`) and gets its finish
           tag recomputed as ``F = S + L / r_new``, keeping eq. (27)'s
           ``min S_i`` arm and the SEFF eligibility test consistent.
+
+        The service count ``W_n(0, t)`` is the work already received, an
+        invariant of the change, so it needs no rebase; the reference time
+        ``T_n = W_n / r_n`` (Section 4.1) follows the new rate on read.
 
         Policy heaps below ``top`` are then rebuilt so every key reflects
         the fresh tags, child indices and (for WFQ nodes) phi weights.
@@ -1171,16 +1222,11 @@ class HPFQScheduler(PacketScheduler):
             node_obj.share = spec[node_obj.name].share
             r_new = spec.guaranteed_rate(node_obj.name, rate)
             if r_new != node_obj.rate:
-                r_old = node_obj.rate
-                node_obj.rate = r_new
-                node_obj.inv_rate = 1 / r_new
-                if node_obj.reference:
-                    node_obj.reference = node_obj.reference * r_old / r_new
-                if node_obj.head is not None:
+                node_obj.set_rate(r_new)
+                head = node_obj.head
+                if head is not None:
                     node_obj.finish_tag = (
-                        node_obj.start_tag
-                        + node_obj.head.length * node_obj.inv_rate
-                    )
+                        node_obj.start_tag + node_obj.span(head.length))
             stack.extend(node_obj.children)
         stack = [top]
         while stack:
@@ -1220,13 +1266,8 @@ class HPFQScheduler(PacketScheduler):
     def _on_reconfigured(self):
         # set_link_rate already updated self.rate; propagate it down.
         root = self._root
-        r_new = self._rate
-        if r_new != root.rate:
-            r_old = root.rate
-            root.rate = r_new
-            root.inv_rate = 1 / r_new
-            if root.reference:
-                root.reference = root.reference * r_old / r_new
+        if self._rate != root.rate:
+            root.set_rate(self._rate)
         self._rebase_subtree(root)
 
     def attach_subtree(self, parent_name, subtree):
@@ -1238,9 +1279,7 @@ class HPFQScheduler(PacketScheduler):
         """
         if not isinstance(subtree, NodeSpec):
             raise ConfigurationError(f"not a NodeSpec: {subtree!r}")
-        parent = self._nodes.get(parent_name)
-        if parent is None:
-            raise HierarchyError(f"unknown node: {parent_name!r}")
+        parent = self._node(parent_name)
         self.spec.attach(parent_name, subtree)  # validates names/leafness
         self._build(subtree, parent)
         factory = self._policy_factory
@@ -1269,9 +1308,7 @@ class HPFQScheduler(PacketScheduler):
         queued packets — so no tag state is destroyed.  Remaining
         siblings' child indices are compacted and their rates rebased.
         """
-        node_obj = self._nodes.get(name)
-        if node_obj is None:
-            raise HierarchyError(f"unknown node: {name!r}")
+        node_obj = self._node(name)
         if node_obj is self._root:
             raise HierarchyError("cannot detach the root")
         names = []
@@ -1341,7 +1378,7 @@ class HPFQScheduler(PacketScheduler):
                 "start_tag": node_obj.start_tag,
                 "finish_tag": node_obj.finish_tag,
                 "virtual": node_obj.virtual,
-                "reference": node_obj.reference,
+                "served": node_obj.served,
                 "busy": node_obj.busy,
                 "active_child": (None if node_obj.active_child is None
                                  else node_obj.active_child.name),
@@ -1379,14 +1416,18 @@ class HPFQScheduler(PacketScheduler):
             node_obj.share = ns["share"]
             self.spec[name].share = ns["share"]
             if ns["rate"] != node_obj.rate:
-                node_obj.rate = ns["rate"]
-                node_obj.inv_rate = 1 / ns["rate"]
+                node_obj.set_rate(ns["rate"])
             node_obj.head = (None if ns["head"] is None
                              else uid_map[ns["head"]])
             node_obj.start_tag = ns["start_tag"]
             node_obj.finish_tag = ns["finish_tag"]
             node_obj.virtual = ns["virtual"]
-            node_obj.reference = ns["reference"]
+            if "served" in ns:
+                node_obj.served = ns["served"]
+            else:
+                # Snapshots from before W_n was kept in bits carry the
+                # reference time T_n = W_n / r_n instead.
+                node_obj.served = ns["reference"] * ns["rate"]
             node_obj.busy = ns["busy"]
             node_obj.active_child = (None if ns["active_child"] is None
                                      else nodes[ns["active_child"]])

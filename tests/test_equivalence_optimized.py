@@ -127,7 +127,7 @@ class NaiveWF2QPlusNodePolicy(NodePolicy):
         node_obj = self.node
         smin = min(c.start_tag for c in self._headed)
         node_obj.virtual = max(node_obj.virtual, smin) + length / node_obj.rate
-        node_obj.reference += length / node_obj.rate
+        node_obj.served += length
 
     def reset(self):
         self._headed.clear()

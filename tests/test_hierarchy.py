@@ -180,6 +180,15 @@ class TestStateMachine:
         assert s.node_service("B") == Fr(4)
         assert s.node_service("root") == Fr(4)
 
+    @pytest.mark.parametrize("query", [
+        "node_virtual_time", "node_reference_time", "node_service",
+        "guaranteed_rate",
+    ])
+    def test_unknown_node_name_raises_hierarchy_error(self, query):
+        s = make_hwf2qplus(two_level(), Fr(10))
+        with pytest.raises(HierarchyError, match="unknown node: 'zz'"):
+            getattr(s, query)("zz")
+
     def test_arrival_during_transmission_waits(self):
         s = make_hwf2qplus(two_level(), Fr(1))
         s.enqueue(Packet("B", Fr(1)), now=Fr(0))
