@@ -33,6 +33,20 @@ either, and ``W_n`` stays put when ``r_n`` changes.  Consequently the whole
 hierarchy is *event-driven* — no wall-clock input is needed beyond
 busy-period boundaries.
 
+Time units: virtual times and tags are seconds of the node's reference
+time.  An H-WF2Q+ node ``n`` whose rate and children's rates are all
+exact (``Fraction`` inverse rates) keeps ``V_n`` and its children's
+``S``/``F`` tags as ``int`` counts of a *time quantum* ``1/D_n`` instead,
+where ``D_n`` is the lcm of the numerators ``p`` of those rates ``p/q``:
+``L / r_c`` for an integer length ``L`` is then the ``int``
+``L * q_c * (D_n // p_c)``, so every tag add and heap-key comparison in
+the node's *domain* runs in C.  The quantum is chosen where rates are set
+(:meth:`HPFQScheduler._settle`); every other domain — float rates or
+lengths, other node policies, subclasses of :class:`HPFQScheduler` — keeps
+seconds.  Values convert back to seconds (``int`` 0 at a busy-period
+start, ``Fraction`` otherwise) wherever they leave the scheduler: service
+records, virtual-time queries, observability events and snapshots.
+
 Hot-path layout
 ---------------
 The tree is flattened at build time (dense ``node_id`` ids, precomputed
@@ -59,6 +73,10 @@ eligibility ``s_m <= max(V_n, Smin_n)`` with smallest-finish selection, and
 paper compares against (H-WFQ's large-WFI nodes are what causes its delay
 spikes in Figures 4-7).
 """
+
+from fractions import Fraction
+from functools import partial
+from math import lcm
 
 from repro.config.hierarchy_spec import HierarchySpec, NodeSpec
 from repro.core.scheduler import (
@@ -89,6 +107,43 @@ __all__ = [
 _INF = float("inf")
 
 
+def _seconds(value, den):
+    """A tag or virtual time of a domain with quantum ``1/den``, in seconds.
+
+    An ``int`` is a count of quanta: ``0`` stays the ``int`` 0 of a
+    busy-period start, anything else becomes ``Fraction(value, den)``.
+    Other values are already seconds (every value when ``den`` is 0, and
+    stale values of an earlier busy period kept in seconds when their
+    domain changed quantum).
+    """
+    if den and type(value) is int:
+        return Fraction(value, den) if value else 0
+    return value
+
+
+def _span(length, inv_rate, den):
+    """``length * inv_rate`` in quanta of ``1/den`` (seconds when 0)."""
+    if den:
+        return length * inv_rate.numerator * (den // inv_rate.denominator)
+    return length * inv_rate
+
+
+def _rescaled(factor, value):
+    """A quantum count rescaled to a quantum ``factor`` times finer."""
+    return value * factor if type(value) is int else value
+
+
+def _quanta(den, value):
+    """Seconds as a count of ``1/den`` quanta where that is exact; stale
+    values that do not fit stay in seconds."""
+    kind = type(value)
+    if kind is int:
+        return value * den
+    if kind is Fraction and den % value.denominator == 0:
+        return value.numerator * (den // value.denominator)
+    return value
+
+
 class _HNode:
     """Runtime state of one tree node (leaf or interior).
 
@@ -105,15 +160,24 @@ class _HNode:
 
     ``served`` is ``W_n(0, t)``, the bits selected through the node, kept
     as a plain sum of packet lengths; the reference time ``T_n = W_n /
-    r_n`` is derived from it on read.  ``rate``, ``inv_rate`` and the
-    :meth:`span` memo change only through :meth:`set_rate`.
+    r_n`` is derived from it on read.  ``rate`` and ``inv_rate`` change
+    only through :meth:`set_rate`.
+
+    Time units (see the module docstring): ``den`` is ``D_n`` when the
+    node's own domain — ``virtual`` and its children's tags — counts
+    quanta of ``1/D_n``, else 0 (seconds), as set by
+    :meth:`HPFQScheduler._settle`; ``owner`` is that scheduler.  The
+    node's own ``start_tag``/``finish_tag`` are in its parent's unit, so
+    :meth:`span` keeps ``L / r_n`` in both units.  The two differ in kind
+    where a quantum domain meets a seconds one, e.g. below a float root,
+    and otherwise only in ``D``.
     """
 
     __slots__ = (
         "name", "share", "rate", "inv_rate", "parent", "children", "is_leaf",
         "child_index",
-        # L / r_n for the last integer length (see span)
-        "memo_length", "memo_span",
+        # L / r_n for the last integer length, in both units (see span)
+        "memo_length", "memo_span", "vspan",
         # flattened-tree layout (assigned once by HPFQScheduler._flatten)
         "node_id", "path",
         # child-role state: the logical queue to the parent
@@ -124,12 +188,18 @@ class _HNode:
         "epoch",
         # leaf-role state (the physical queue lives in FlowState)
         "flow_state",
+        # time units (see the class docstring); read on memo misses and
+        # conversions only, so they sit after the per-packet slots
+        "den", "owner",
     )
 
     def __init__(self, name, share, rate, parent, is_leaf):
         self.name = name
         self.share = share
         self.set_rate(rate)
+        self.den = 0
+        self.owner = None
+        self.vspan = None
         self.parent = parent
         self.children = []
         self.child_index = 0
@@ -155,7 +225,9 @@ class _HNode:
 
         Every rate change (construction, a rebase after a share, link-rate
         or topology change, a restore) goes through here, so no memoised
-        ``L / r_n`` can outlive the rate it was computed from.
+        ``L / r_n`` can outlive the rate it was computed from.  The
+        scheduler then re-settles the two domains the rate belongs to
+        (the parent's and the node's own), which may change their units.
         """
         self.rate = rate
         #: 1 / r_n, so tag updates pay one multiply instead of a division.
@@ -164,22 +236,43 @@ class _HNode:
         self.memo_span = None
 
     def span(self, length):
-        """``L / r_n`` (as ``L * inv_rate``) for a packet of ``length`` bits.
+        """``L / r_n`` for a packet of ``length`` bits, in the unit of the
+        node's tags; leaves the same time in the node's own unit (for
+        ``V_n``) in ``vspan``.
 
         Memoised for the last ``int`` length: with fixed-size packets
         every tag update and virtual-time advance after the first reuses
         one product, which saves a multiply per level — a ``Fraction``
-        multiply under exact rates.  Other lengths bypass the memo:
-        ``65536 == 65536.0``, but ``65536 * q`` is a ``Fraction`` while
-        ``65536.0 * q`` is a float.
+        multiply under exact rates in a seconds domain.  Other lengths
+        bypass the memo: ``65536 == 65536.0``, but ``65536 * q`` is a
+        ``Fraction`` while ``65536.0 * q`` is a float.  Such a length has
+        no exact quantum count, so a quantum domain holding the node's
+        tags first leaves for seconds; the node's own domain already has,
+        through the child that brought the packet.
         """
         if type(length) is int:
             if length == self.memo_length:
                 return self.memo_span
-            span = self.memo_span = length * self.inv_rate
             self.memo_length = length
+            inv = self.inv_rate
+            parent = self.parent
+            self.vspan = _span(length, inv, self.den)
+            span = self.memo_span = _span(
+                length, inv, 0 if parent is None else parent.den)
             return span
-        return length * self.inv_rate
+        parent = self.parent
+        if parent is not None and parent.den:
+            self.owner._settle(parent)
+        self.memo_length = None
+        span = self.vspan = length * self.inv_rate
+        return span
+
+    def own_span(self, length):
+        """``L / r_n`` in the node's own unit (for ``V_n``); shares the
+        :meth:`span` memo."""
+        if length != self.memo_length or type(length) is not int:
+            self.span(length)
+        return self.vspan
 
 
 # ----------------------------------------------------------------------
@@ -411,7 +504,7 @@ class WF2QPlusNodePolicy(NodePolicy):
         # V_n <- max(V_n, Smin_n) + L/r_n, with max(V_n, Smin_n) already
         # computed as the eligibility threshold by the paired ``select``.
         node = self.node
-        node.virtual = self._threshold + node.span(length)
+        node.virtual = self._threshold + node.own_span(length)
         node.served += length
 
     def reset(self):
@@ -419,12 +512,29 @@ class WF2QPlusNodePolicy(NodePolicy):
         self._ineligible.clear()
         self._threshold = 0
 
+    def map_tags(self, convert):
+        """Apply ``convert`` to every tag held here (heap keys and the
+        threshold): the node's domain changed unit."""
+        def rekey(key):
+            return convert(key[0]), key[1]
+        self._eligible.rekey(rekey)
+        self._ineligible.rekey(rekey)
+        self._threshold = convert(self._threshold)
+
     def snapshot(self):
-        return {
+        den = self.node.den
+        snap = {
             "eligible": self._eligible.snapshot(lambda c: c.name),
             "ineligible": self._ineligible.snapshot(lambda c: c.name),
-            "threshold": self._threshold,
+            "threshold": _seconds(self._threshold, den),
         }
+        if den:
+            # Checkpoints hold seconds whatever the node's unit.
+            for heap in (snap["eligible"], snap["ineligible"]):
+                heap["entries"] = [
+                    ((_seconds(tag, den), index), seq, name)
+                    for (tag, index), seq, name in heap["entries"]]
+        return snap
 
     def restore(self, snap, nodes):
         self._eligible.restore(snap["eligible"], nodes.__getitem__)
@@ -473,7 +583,7 @@ class WFQNodePolicy(NodePolicy):
         node = self.node
         node.served += length
         if self._active_phi > 0:
-            node.virtual += node.span(length) / self._active_phi
+            node.virtual += node.own_span(length) / self._active_phi
 
     def reset(self):
         self._finishes.clear()
@@ -646,6 +756,16 @@ class HPFQScheduler(PacketScheduler):
         #: instead of O(nodes).
         self._tree_epoch = 0
         self._flatten()
+        #: Quantum domains are for this exact class only: a subclass may
+        #: override the hot paths that count quanta (see _quantum).
+        self._quantum_ok = type(self) is HPFQScheduler
+        #: Domains whose quantum is not the lcm of their current rate
+        #: numerators (rescaled, or left for seconds mid-busy-period);
+        #: rebuilt when the tree next drains.  A dict for a stable order.
+        self._unsettled = {}
+        for node_obj in self._nodes.values():
+            if not node_obj.is_leaf:
+                self._settle(node_obj)
 
     @staticmethod
     def _resolve_policy(policy):
@@ -664,6 +784,7 @@ class HPFQScheduler(PacketScheduler):
         rate = self.spec.guaranteed_rate(spec_node.name, self.rate)
         node_obj = _HNode(spec_node.name, spec_node.share, rate, parent,
                           spec_node.is_leaf)
+        node_obj.owner = self
         self._nodes[spec_node.name] = node_obj
         if parent is not None:
             node_obj.child_index = len(parent.children)
@@ -693,6 +814,109 @@ class HPFQScheduler(PacketScheduler):
                 chain.append(cursor)
                 cursor = cursor.parent
             node.path = tuple(chain)
+
+    # ------------------------------------------------------------------
+    # Time units (quantum domains)
+    # ------------------------------------------------------------------
+    def _quantum(self, node):
+        """``D_n`` when ``node``'s domain may count quanta, else 0.
+
+        A domain counts quanta exactly when the scheduler is this class,
+        the node runs the fused WF2Q+ policy and the inverse rates of the
+        node and of every child are ``Fraction`` values; ``D_n`` is the
+        lcm of the rate numerators (the inverses' denominators).
+        """
+        if not self._quantum_ok or not node.policy.fast:
+            return 0
+        inv = node.inv_rate
+        if type(inv) is not Fraction:
+            return 0
+        den = inv.denominator
+        for child in node.children:
+            inv = child.inv_rate
+            if type(inv) is not Fraction:
+                return 0
+            den = lcm(den, inv.denominator)
+        return den
+
+    def _settle(self, node, rebuild=False):
+        """Choose the unit of ``node``'s domain under its current rates.
+
+        The domain is ``V_n``, the children's tags, and the policy's heap
+        keys and threshold; every value is carried over exactly:
+
+        * quanta → quanta (rates moved, all still exact): rescale by
+          ``D'/D`` with ``D' = lcm(D, new numerators)``, an ``int``
+          multiply;
+        * quanta → seconds (a float rate, or a child headed by a packet
+          whose length is not an ``int``): ``Fraction(k, D)``;
+        * seconds → quanta mid-busy-period (a restore, or rates exact
+          again): a quantum every live value fits;
+        * ``rebuild`` (the tree is empty, so every value is stale or 0):
+          ``D`` is the lcm of the current rate numerators again, so share
+          churn cannot grow the integers without bound.
+
+        Stale values of an earlier busy period that a new quantum cannot
+        hold stay in seconds until the lazy reset zeroes them.
+        """
+        den = node.den
+        want = self._quantum(node)
+        target = want
+        # A head whose length is not an int has no exact quantum count.
+        if target and any(child.head is not None
+                          and type(child.head.length) is not int
+                          for child in node.children):
+            target = 0
+        if den and target and not rebuild:
+            new = lcm(den, target)
+            if new != den:
+                self._map_domain(node, partial(_rescaled, new // den))
+        else:
+            if den:
+                self._map_domain(node, partial(_seconds, den=den))
+            new = target
+            if new and not rebuild:
+                new = self._live_quantum(node, new)
+                if new:
+                    self._map_domain(node, partial(_quanta, new))
+        node.den = new
+        node.memo_length = None
+        for child in node.children:
+            child.memo_length = None
+        if new == want:
+            self._unsettled.pop(node, None)
+        else:
+            self._unsettled[node] = None
+
+    def _live_quantum(self, node, den):
+        """The least multiple of ``den`` whose quanta count every live
+        value of ``node``'s domain exactly; 0 when one is not rational.
+
+        The policy's heap keys are live children's tags, so the tags
+        cover them.
+        """
+        epoch = self._tree_epoch
+        values = []
+        if node.epoch == epoch:
+            values.append(node.virtual)
+        for child in node.children:
+            if child.epoch == epoch:
+                values += (child.start_tag, child.finish_tag)
+        for value in values:
+            kind = type(value)
+            if kind is Fraction:
+                den = lcm(den, value.denominator)
+            elif kind is not int:
+                return 0
+        return den
+
+    @staticmethod
+    def _map_domain(node, convert):
+        node.virtual = convert(node.virtual)
+        for child in node.children:
+            child.start_tag = convert(child.start_tag)
+            child.finish_tag = convert(child.finish_tag)
+        node.policy.map_tags(convert)
 
     # ------------------------------------------------------------------
     # Lazy busy-period reset
@@ -728,7 +952,7 @@ class HPFQScheduler(PacketScheduler):
     def node_virtual_time(self, name):
         node = self._node(name)
         self._touch(node)
-        return node.virtual
+        return _seconds(node.virtual, node.den)
 
     def node_reference_time(self, name):
         """T_n = W_n(0, t) / r_n (Section 4.1), at the node's current rate."""
@@ -751,7 +975,7 @@ class HPFQScheduler(PacketScheduler):
         """The root node's virtual time (the hierarchy-wide clock)."""
         root = self._root
         self._touch(root)
-        return root.virtual
+        return _seconds(root.virtual, root.den)
 
     # ------------------------------------------------------------------
     # Observability (emission sites are guarded by the callers)
@@ -759,13 +983,15 @@ class HPFQScheduler(PacketScheduler):
     def _emit_head(self, node, child_name=None):
         """Emit a NodeRestart for a node that just adopted a head packet."""
         if node.parent is not None:
-            start, finish = node.start_tag, node.finish_tag
+            den = node.parent.den
+            start = _seconds(node.start_tag, den)
+            finish = _seconds(node.finish_tag, den)
             rate = node.rate
         else:
             start = finish = rate = None  # the root has no logical queue
         self._obs.emit(NodeRestart(
             self._clock, self.name, node.name, child_name, start, finish,
-            None if node.is_leaf else node.virtual,
+            None if node.is_leaf else _seconds(node.virtual, node.den),
             node.head.length if node.head is not None else None, rate))
 
     # ------------------------------------------------------------------
@@ -802,11 +1028,13 @@ class HPFQScheduler(PacketScheduler):
             parent.virtual = 0
             parent.epoch = epoch
         leaf.head = packet
+        # span first: an odd length moves the parent's domain to seconds.
+        dt = leaf.span(packet.length)
         start = leaf.finish_tag
         if parent.virtual > start:
             start = parent.virtual
         leaf.start_tag = start
-        leaf.finish_tag = start + leaf.span(packet.length)
+        leaf.finish_tag = start + dt
         if self._obs is None and not parent.busy and parent.policy.fast:
             # Defer the head-set into the parent's fused re-selection.
             self._restart_path(path, 1, leaf)
@@ -878,15 +1106,17 @@ class HPFQScheduler(PacketScheduler):
                 node.busy = True
                 if threshold is not None:
                     # Fused on_select: V_n <- max(V_n, Smin_n) + L/r_n,
-                    # with max(V, Smin) already computed as the threshold.
-                    node.virtual = threshold + dt
+                    # with max(V, Smin) already computed as the threshold
+                    # and L/r_n in the node's own unit left by span.
+                    node.virtual = threshold + node.vspan
                     node.served += length
                 else:
                     pol.on_select(child, length)
                 if obs is not None:
                     self._emit_head(node, child.name)
                     obs.emit(VirtualTimeUpdate(
-                        self._clock, self.name, node.name, node.virtual))
+                        self._clock, self.name, node.name,
+                        _seconds(node.virtual, node.den)))
                 if parent is None:
                     return
                 if parent.head is not None:
@@ -929,8 +1159,9 @@ class HPFQScheduler(PacketScheduler):
         if queue:
             head = queue[0]
             leaf.head = head
-            leaf.start_tag = leaf.finish_tag
-            leaf.finish_tag = leaf.start_tag + leaf.span(head.length)
+            dt = leaf.span(head.length)
+            start = leaf.start_tag = leaf.finish_tag
+            leaf.finish_tag = start + dt
             if obs is None and parent.policy.fast:
                 rekeyed = leaf
             else:
@@ -953,6 +1184,11 @@ class HPFQScheduler(PacketScheduler):
             # boundary instead of O(nodes)).  Reference times are left
             # alone: W_n(0, t) is cumulative.
             self._tree_epoch += 1
+            if self._unsettled:
+                # The domains are empty: rebuild each rescaled or
+                # seconds-bound one from its current rates.
+                for node_obj in list(self._unsettled):
+                    self._settle(node_obj, rebuild=True)
             if self._obs is not None:
                 # Observers expect explicit reset events, so pay the eager
                 # sweep only when someone is watching.
@@ -1002,6 +1238,15 @@ class HPFQScheduler(PacketScheduler):
 
     def _make_record(self, state, packet, now, finish):
         leaf = self._nodes[packet.flow_id]
+        den = leaf.parent.den
+        if den:
+            # Live quantum counts: the finish tag is never 0.
+            start = leaf.start_tag
+            return ScheduledPacket(
+                packet, now, finish,
+                virtual_start=Fraction(start, den) if start else 0,
+                virtual_finish=Fraction(leaf.finish_tag, den),
+            )
         return ScheduledPacket(
             packet, now, finish,
             virtual_start=leaf.start_tag,
@@ -1158,8 +1403,17 @@ class HPFQScheduler(PacketScheduler):
                     del backlogged[flow_id]
                 finish = now + length / rate
                 leaf = nodes[flow_id]
-                append(ScheduledPacket(packet, now, finish,
-                                       leaf.start_tag, leaf.finish_tag))
+                den = leaf.parent.den
+                if den:
+                    # Live quantum counts: the finish tag is never 0.
+                    start = leaf.start_tag
+                    append(ScheduledPacket(
+                        packet, now, finish,
+                        Fraction(start, den) if start else 0,
+                        Fraction(leaf.finish_tag, den)))
+                else:
+                    append(ScheduledPacket(packet, now, finish,
+                                           leaf.start_tag, leaf.finish_tag))
                 leaf.served += length
                 self._in_flight = packet
                 count += 1
@@ -1210,12 +1464,19 @@ class HPFQScheduler(PacketScheduler):
         invariant of the change, so it needs no rebase; the reference time
         ``T_n = W_n / r_n`` (Section 4.1) follows the new rate on read.
 
+        Before the finish tags are recomputed, ``top``'s domain and every
+        domain a changed rate belongs to is re-settled
+        (:meth:`_settle`): rescaled to a quantum the new rates fit, moved
+        to seconds, or — when the tree is empty — rebuilt.
+
         Policy heaps below ``top`` are then rebuilt so every key reflects
         the fresh tags, child indices and (for WFQ nodes) phi weights.
         Cold path: O(subtree), which a reconfiguration is allowed to cost.
         """
         spec = self.spec
         rate = self._rate
+        changed = []
+        domains = {top: None}
         stack = list(top.children)
         while stack:
             node_obj = stack.pop()
@@ -1223,11 +1484,19 @@ class HPFQScheduler(PacketScheduler):
             r_new = spec.guaranteed_rate(node_obj.name, rate)
             if r_new != node_obj.rate:
                 node_obj.set_rate(r_new)
-                head = node_obj.head
-                if head is not None:
-                    node_obj.finish_tag = (
-                        node_obj.start_tag + node_obj.span(head.length))
+                changed.append(node_obj)
+                domains[node_obj.parent] = None
+                if not node_obj.is_leaf:
+                    domains[node_obj] = None
             stack.extend(node_obj.children)
+        empty = self._root.head is None
+        for node_obj in domains:
+            self._settle(node_obj, rebuild=empty)
+        for node_obj in changed:
+            head = node_obj.head
+            if head is not None:
+                dt = node_obj.span(head.length)
+                node_obj.finish_tag = node_obj.start_tag + dt
         stack = [top]
         while stack:
             node_obj = stack.pop()
@@ -1284,6 +1553,7 @@ class HPFQScheduler(PacketScheduler):
         self._build(subtree, parent)
         factory = self._policy_factory
         epoch = self._tree_epoch
+        grafted = []
         stack = [self._nodes[subtree.name]]
         while stack:
             node_obj = stack.pop()
@@ -1295,9 +1565,12 @@ class HPFQScheduler(PacketScheduler):
                 pol = factory(node_obj)
                 pol.fast = type(pol) is WF2QPlusNodePolicy
                 node_obj.policy = pol
+                grafted.append(node_obj)
             stack.extend(node_obj.children)
         self._flatten()
         self._rebase_subtree(parent)
+        for node_obj in grafted:
+            self._settle(node_obj)
         return subtree
 
     def detach_subtree(self, name):
@@ -1331,6 +1604,7 @@ class HPFQScheduler(PacketScheduler):
             sibling.child_index = position
         for node_name in names:
             pruned = self._nodes.pop(node_name)
+            self._unsettled.pop(pruned, None)
             if pruned.is_leaf:
                 self.remove_flow(node_name)
         self._flatten()
@@ -1369,15 +1643,18 @@ class HPFQScheduler(PacketScheduler):
     # Checkpoint / restore
     # ------------------------------------------------------------------
     def _snapshot_extra(self):
+        # Tags and virtual times are checkpointed in seconds, whatever
+        # the unit of their domain.
         nodes = {}
         for name, node_obj in self._nodes.items():
+            den = 0 if node_obj.parent is None else node_obj.parent.den
             nodes[name] = {
                 "share": node_obj.share,
                 "rate": node_obj.rate,
                 "head": None if node_obj.head is None else node_obj.head.uid,
-                "start_tag": node_obj.start_tag,
-                "finish_tag": node_obj.finish_tag,
-                "virtual": node_obj.virtual,
+                "start_tag": _seconds(node_obj.start_tag, den),
+                "finish_tag": _seconds(node_obj.finish_tag, den),
+                "virtual": _seconds(node_obj.virtual, node_obj.den),
                 "served": node_obj.served,
                 "busy": node_obj.busy,
                 "active_child": (None if node_obj.active_child is None
@@ -1411,6 +1688,11 @@ class HPFQScheduler(PacketScheduler):
             self._in_flight = None
         self._tree_epoch = extra["tree_epoch"]
         nodes = self._nodes
+        # The snapshot holds seconds: every domain starts there and is
+        # settled once the whole tree is back.
+        self._unsettled.clear()
+        for node_obj in nodes.values():
+            node_obj.den = 0
         for name, ns in extra["nodes"].items():
             node_obj = nodes[name]
             node_obj.share = ns["share"]
@@ -1437,6 +1719,9 @@ class HPFQScheduler(PacketScheduler):
         for name, ns in extra["nodes"].items():
             if ns["policy"] is not None:
                 nodes[name].policy.restore(ns["policy"], nodes)
+        for node_obj in nodes.values():
+            if not node_obj.is_leaf:
+                self._settle(node_obj)
 
 
 # ----------------------------------------------------------------------

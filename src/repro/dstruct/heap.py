@@ -256,6 +256,23 @@ class IndexedHeap:
         self._pos.clear()
         self._stale = 0
 
+    def rekey(self, convert):
+        """Replace every live key ``k`` by ``convert(k)`` in place.
+
+        For a change of the keys' unit: ``convert`` must preserve their
+        order, so every entry keeps its seq and the pop order, ``pos``
+        order and :meth:`snapshot` seqs are unchanged.  Stale entries are
+        dropped.  O(N).
+        """
+        pos = self._pos
+        for item in list(pos):
+            key, seq, _item = pos[item]
+            pos[item] = (convert(key), seq, item)
+        heap = self._heap
+        heap[:] = pos.values()
+        heapify(heap)
+        self._stale = 0
+
     def _tidy(self):
         """Re-establish a live top and the sweep rule after stale entries
         were made or the list shrank beneath them."""

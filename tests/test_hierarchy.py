@@ -167,7 +167,7 @@ class TestStateMachine:
         s.enqueue(Packet("A1", Fr(1)), now=Fr(100))
         # V_A restarted at 0 and advanced by L/r_A = 1/(8/10) for the one
         # selection of the new busy period.
-        assert s._nodes["A"].virtual == Fr(10, 8)
+        assert s.node_virtual_time("A") == Fr(10, 8)
         leafnode = s._nodes["A1"]
         assert leafnode.start_tag == 0
 
