@@ -41,14 +41,15 @@ online system.  Assertions that need Fraction-faithful GPS (checkpoint
 digests, exact-tie service order) should pass ``exact=True``.
 
 numpy is optional: without it the same expressions run in plain loops
-(both lanes pinned identical by the differential suite).
+(both lanes pinned identical by the differential suite).  This is the
+only module that imports it, so numpy loads only with ``repro.analysis``,
+never on the simulator's import path.
 """
 
 import heapq
 import itertools
 from bisect import bisect_left
 
-from repro.core.batch import HAVE_NUMPY, NUMPY_MIN_CHUNK
 from repro.core.gps import GPSFluidSystem, GPSPacket
 from repro.errors import (
     ConfigurationError,
@@ -56,10 +57,18 @@ from repro.errors import (
     UnknownFlowError,
 )
 
-if HAVE_NUMPY:
+try:
     import numpy as _np
+    HAVE_NUMPY = True
+except ImportError:  # pragma: no cover - exercised on numpy-less hosts
+    _np = None
+    HAVE_NUMPY = False
 
 __all__ = ["fluid_finish_times"]
+
+#: Below this many elements the plain-Python loop beats the numpy call
+#: overhead (ufunc dispatch + array creation).
+NUMPY_MIN_CHUNK = 16
 
 
 class _Flow:

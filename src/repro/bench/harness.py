@@ -9,7 +9,6 @@ A benchmark run produces a list of :class:`BenchPoint` — one per
       "git_rev": "abc1234",
       "dirty": false,
       "python": "3.12.1",
-      "numpy": "2.4.6",
       "platform": {"system": "Linux", "release": "...", "machine": "x86_64",
                    "processor": "...", "cpu_count": 8},
       "scenarios": [
@@ -197,8 +196,6 @@ def platform_info():
 
 def to_payload(points):
     """Build the JSON document for a list of points."""
-    from repro.core.batch import numpy_version
-
     return {
         "version": SCHEMA_VERSION,
         "generated_at": time.strftime(
@@ -207,9 +204,6 @@ def to_payload(points):
         # True = measured against uncommitted changes; see _git_dirty.
         "dirty": _git_dirty(),
         "python": sys.version.split()[0],
-        # None on numpy-less hosts: the columnar kernels then ran their
-        # pure-array lanes, which is provenance a baseline must carry.
-        "numpy": numpy_version(),
         "platform": platform_info(),
         "scenarios": [p.to_dict() for p in points],
     }

@@ -46,19 +46,10 @@ The scenarios target the hot paths this repo optimises:
     cost(1)/cost(N) is the scale-out speedup, which is only > 1 when the
     machine has spare cores — per-point regression tracking is what the
     gate checks, the speedup itself is a property of the host.
-``hier_vector``
-    The columnar H-WF2Q+ backend (:class:`~repro.core.hbatch.
-    VectorHWF2QPlus`) against the exact hierarchical kernels on the same
-    batch-churn workload: exact at chunk 1/64, vector at chunk 1/64/512,
-    plus a ``chunk="auto"`` point measured at whatever chunk the
-    batch-histogram autotuner picks from a calibration pass.  The
-    headline ratio the CI gate asserts is vector-chunk>=64 against
-    exact-chunk-1 — the level-synchronous tag vectorization plus
-    amortization, i.e. what the backend buys end to end.
 
-``batch_pipeline`` and ``hier_vector`` are *chunk-aware*: they accept an
-optional ``chunk`` override (``repro bench --chunk N``) replacing the
-default sweep with the baseline chunk plus the requested one.
+``batch_pipeline`` is *chunk-aware*: it accepts an optional ``chunk``
+override (``repro bench --chunk N``) replacing the default sweep with the
+baseline chunks plus the requested one.
 """
 
 from time import perf_counter_ns
@@ -66,8 +57,7 @@ from time import perf_counter_ns
 from repro.bench.harness import BenchPoint, best_of
 from repro.core.packet import Packet
 
-__all__ = ["SCENARIOS", "CHUNK_AWARE", "run_scenarios", "zoo_registry",
-           "autotuned_chunk"]
+__all__ = ["SCENARIOS", "CHUNK_AWARE", "run_scenarios", "zoo_registry"]
 
 _LENGTH = 8000.0   # bits; one 1000-byte packet
 _RATE = 1e9        # bps
@@ -445,82 +435,6 @@ def scenario_sharded_pipeline(quick):
     return points
 
 
-def autotuned_chunk(build, packets):
-    """Calibrate a scheduler's drain chunk from a profiled batch sweep.
-
-    Drives an equal share of ``packets`` through the batch APIs at every
-    :data:`~repro.obs.profile.CHUNK_CHOICES` candidate with a
-    :class:`~repro.obs.profile.SchedulerProfiler` attached, then feeds
-    the profiler's ``(seconds, packets)`` batch histogram to
-    :func:`~repro.obs.profile.recommend_chunk` — the offline twin of the
-    in-band :class:`~repro.obs.profile.ChunkAutotuner`.  Returns the
-    recommended chunk (never None here: the sweep always moves packets).
-    """
-    from repro.obs import CHUNK_CHOICES, SchedulerProfiler, recommend_chunk
-
-    sched = build()
-    flow_ids = sched.flow_ids
-    prefill = max(2, (2 * max(CHUNK_CHOICES)) // len(flow_ids))
-    for fid in flow_ids:
-        for _ in range(prefill):
-            sched.enqueue(Packet(fid, _LENGTH), now=0.0)
-    profiler = SchedulerProfiler(sched)
-    share = max(1, packets // len(CHUNK_CHOICES))
-    for chunk in CHUNK_CHOICES:
-        remaining = share
-        while remaining > 0:
-            records = sched.dequeue_batch(
-                chunk if chunk <= remaining else remaining)
-            remaining -= len(records)
-            sched.enqueue_batch(
-                [Packet(r.flow_id, _LENGTH) for r in records],
-                now=records[-1].finish_time)
-    profiler.detach()
-    return recommend_chunk(profiler.batch_samples)
-
-
-def scenario_hier_vector(quick, chunk=None):
-    """Columnar H-WF2Q+ backend vs the exact hierarchical kernels.
-
-    Same 2x8 tree and batch-churn workload as ``batch_pipeline``'s
-    H-WF2Q+ rows.  ``H-WF2Q+`` points run the exact scheduler,
-    ``VH-WF2Q+`` the :class:`~repro.core.hbatch.VectorHWF2QPlus`
-    backend; the ``chunk="auto"`` point first calibrates via
-    :func:`autotuned_chunk` and then measures at the recommendation,
-    keeping its params key stable across runs.  An explicit ``chunk``
-    narrows the vector sweep to chunk 1 plus that size.
-    """
-    from repro.core import HPFQScheduler, VectorHWF2QPlus
-
-    packets = 3072 if quick else 24576
-    repeats = 3
-
-    def exact():
-        return HPFQScheduler(_balanced_tree(2, 8), _RATE, policy="wf2qplus")
-
-    def vector():
-        return VectorHWF2QPlus(_balanced_tree(2, 8), _RATE)
-
-    vector_chunks = ((1, 64, 512, "auto") if not isinstance(chunk, int)
-                     else tuple(dict.fromkeys((1, chunk))))
-    points = []
-    for name, build, chunks in (("H-WF2Q+", exact, (1, 64)),
-                                ("VH-WF2Q+", vector, vector_chunks)):
-        for c in chunks:
-            measured = (autotuned_chunk(build, min(packets, 4096))
-                        if c == "auto" else c)
-
-            def once(build=build, measured=measured):
-                return batch_churn_cost(build, packets, measured)
-
-            backend = "exact" if name == "H-WF2Q+" else "vector"
-            points.append(BenchPoint(
-                "hier_vector", name,
-                {"backend": backend, "chunk": c, "flows": 64},
-                packets, best_of(once, repeats)))
-    return points
-
-
 SCENARIOS = {
     "saturated_churn": scenario_saturated_churn,
     "bursty_onoff": scenario_bursty_onoff,
@@ -529,11 +443,10 @@ SCENARIOS = {
     "sim_pipeline": scenario_sim_pipeline,
     "batch_pipeline": scenario_batch_pipeline,
     "sharded_pipeline": scenario_sharded_pipeline,
-    "hier_vector": scenario_hier_vector,
 }
 
 #: Scenarios whose point sweep honours the ``chunk`` override.
-CHUNK_AWARE = ("batch_pipeline", "hier_vector")
+CHUNK_AWARE = ("batch_pipeline",)
 
 
 def run_scenarios(names=None, quick=False, progress=None, chunk=None):

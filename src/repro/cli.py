@@ -36,6 +36,8 @@ ledger.
 """
 
 import argparse
+import os
+import sys
 
 __all__ = ["main", "build_parser"]
 
@@ -50,8 +52,6 @@ def _stats_registry():
         HPFQScheduler,
         SCFQScheduler,
         SFQScheduler,
-        VectorHWF2QPlus,
-        VectorWF2QPlus,
         VirtualClockScheduler,
         WF2QPlusScheduler,
         WF2QScheduler,
@@ -59,7 +59,7 @@ def _stats_registry():
         WRRScheduler,
     )
 
-    def make_hier(policy, cls=HPFQScheduler):
+    def make_hier(policy):
         def build(rate, n_flows):
             # Balanced two-level tree: groups of up to 8 leaves.
             groups, chunk = [], 8
@@ -67,7 +67,8 @@ def _stats_registry():
                 leaves = [leaf(str(i), 1 + (i % 3))
                           for i in range(g, min(g + chunk, n_flows))]
                 groups.append(node(f"g{g // chunk}", len(leaves), leaves))
-            return cls(node("root", 1, groups), rate, policy=policy)
+            return HPFQScheduler(node("root", 1, groups), rate,
+                                 policy=policy)
         return build
 
     def make_flat(cls):
@@ -89,17 +90,14 @@ def _stats_registry():
         "wfq": make_flat(WFQScheduler),
         "wf2q": make_flat(WF2QScheduler),
         "wf2qplus": make_flat(WF2QPlusScheduler),
-        "vwf2qplus": make_flat(VectorWF2QPlus),
         "hwf2qplus": make_hier("wf2qplus"),
-        "vhwf2qplus": make_hier("wf2qplus", cls=VectorHWF2QPlus),
         "hwfq": make_hier("wfq"),
     }
     return registry
 
 
 STATS_SCHEDULERS = ("fifo", "wrr", "drr", "scfq", "sfq", "vclock", "ffq",
-                    "wfq", "wf2q", "wf2qplus", "vwf2qplus", "hwf2qplus",
-                    "vhwf2qplus", "hwfq")
+                    "wfq", "wf2q", "wf2qplus", "hwf2qplus", "hwfq")
 
 
 def _positive_int(text):
@@ -107,17 +105,6 @@ def _positive_int(text):
     if value < 1:
         raise argparse.ArgumentTypeError(f"must be >= 1, got {value}")
     return value
-
-
-def _chunk_arg(text):
-    """``--chunk`` value: a positive integer or the literal ``auto``."""
-    if text == "auto":
-        return "auto"
-    try:
-        return _positive_int(text)
-    except (ValueError, argparse.ArgumentTypeError):
-        raise argparse.ArgumentTypeError(
-            f"expected a positive integer or 'auto', got {text!r}")
 
 
 def _cmd_stats(args):
@@ -130,17 +117,8 @@ def _cmd_stats(args):
     )
 
     sched = _stats_registry()[args.scheduler](args.rate, args.flows)
-    # The columnar vector backends engage their batch kernels only when
-    # no observer is attached, so for them the (event-driven) metrics
-    # sink stays off by default and the engagement counters below tell
-    # the story instead.  --trace/--check still work but force the exact
-    # per-packet path for the whole run.
-    vector = hasattr(sched, "vector_stats")
-    metrics = None
-    sinks = []
-    if not vector or args.trace or args.check:
-        metrics = MetricsSink()
-        sinks.append(metrics)
+    metrics = MetricsSink()
+    sinks = [metrics]
     jsonl = None
     if args.trace:
         try:
@@ -153,21 +131,8 @@ def _cmd_stats(args):
     if args.check:
         checker = InvariantChecker()
         sinks.append(checker)
-    if sinks:
-        sched.attach_observer(*sinks)
-    # The autotuner and the profiler shadow the same batch methods, so
-    # --chunk auto trades the wall-clock percentile report for the tuned
-    # chunk (both cannot wrap one scheduler at once).
-    tuner = None
-    profiler = None
-    if args.chunk == "auto":
-        from repro.obs import ChunkAutotuner
-
-        tuner = ChunkAutotuner(sched)
-    else:
-        if args.chunk is not None:
-            sched.drain_chunk = args.chunk
-        profiler = SchedulerProfiler(sched)
+    sched.attach_observer(*sinks)
+    profiler = SchedulerProfiler(sched)
 
     sim = None
     if args.pipeline:
@@ -179,8 +144,7 @@ def _cmd_stats(args):
         from repro.traffic.source import CBRSource
 
         sim = Simulator()
-        if profiler is not None:
-            profiler.sim = sim
+        profiler.sim = sim
         link = Link(sim, sched)
         aggregate = 0.98 * args.rate
         stagger = args.length / args.rate / args.flows
@@ -203,36 +167,17 @@ def _cmd_stats(args):
         while not sched.is_empty:
             sched.dequeue()
 
-    if profiler is not None:
-        profiler.detach()
-    if tuner is not None:
-        tuner.detach()
+    profiler.detach()
     workload = "pipeline" if args.pipeline else "churned"
     print(f"repro stats — {sched.name}, {args.flows} flows, "
           f"{args.packets} {workload} packets, {args.rate:g} bps")
-    if profiler is not None:
-        print()
-        print(profiler.format_report())
-    if tuner is not None:
-        chosen = ("pending (calibration window not filled)"
-                  if tuner.chosen is None and len(tuner.batch_samples)
-                  < tuner.window else repr(tuner.chosen))
-        print()
-        print(f"chunk autotuner: chosen={chosen} "
-              f"(window {len(tuner.batch_samples)}/{tuner.window}, "
-              f"drain_chunk={sched.drain_chunk!r})")
+    print()
+    print(profiler.format_report())
     counters = sched.batch_stats()
     print(f"batch API: {counters['batch_calls']} calls moving "
           f"{counters['batch_packets']} packets")
-    if vector:
-        vs = sched.vector_stats()
-        print(f"vector backend: enqueued {vs['vector_enqueued']} vector / "
-              f"{vs['exact_enqueued']} exact, dequeued "
-              f"{vs['vector_dequeued']} vector / {vs['exact_dequeued']} "
-              f"exact (drain_chunk={vs['drain_chunk']!r})")
-    if metrics is not None:
-        print()
-        print(metrics.format_report())
+    print()
+    print(metrics.format_report())
     ledger = sched.conservation()
     print()
     print(f"conservation: arrivals={ledger['arrivals']} "
@@ -269,8 +214,7 @@ def _cmd_sim(args):
         print("repro sim: --migrate-cell requires --migrate-at")
         return 2
     params = {"flows": args.flows, "cells": args.cells, "rate": args.rate,
-              "seed": args.seed, "backend": args.backend,
-              "chunk": args.chunk}
+              "seed": args.seed}
     try:
         report = run_sharded(args.scenario, shards=args.shards,
                              duration=args.duration, migrate=migrate,
@@ -382,12 +326,6 @@ def _cmd_bench(args):
     if args.report and not args.compare:
         print("repro bench: --report requires --compare "
               "(it records the regression table)")
-        return 2
-    if args.chunk == "auto":
-        # "auto" is a measured *point* inside the chunk-aware scenarios'
-        # default sweep, not a sweep override.
-        print("repro bench: --chunk takes an integer (the 'auto' point "
-              "is part of the default hier_vector sweep)")
         return 2
     names = args.scenario or None
     try:
@@ -663,10 +601,6 @@ def build_parser():
     p_stats.add_argument("--pipeline", action="store_true",
                          help="drive the workload through the simulator+"
                               "link stack and report event-elision totals")
-    p_stats.add_argument("--chunk", type=_chunk_arg, default=None,
-                         metavar="N|auto",
-                         help="pin the burst-drain chunk, or 'auto' to "
-                              "let the batch-histogram autotuner pick it")
     p_stats.set_defaults(func=_cmd_stats)
 
     from repro.shard.scenarios import SHARD_SCENARIOS
@@ -687,16 +621,6 @@ def build_parser():
     p_sim.add_argument("--rate", type=float, default=None,
                        help="per-cell link rate in bits per second")
     p_sim.add_argument("--seed", type=int, default=1)
-    p_sim.add_argument("--backend", default=None,
-                       choices=("exact", "vector"),
-                       help="scheduler implementation: exact reference "
-                            "or the columnar float64 vector backend "
-                            "(digest-invariant)")
-    p_sim.add_argument("--chunk", type=_chunk_arg, default=None,
-                       metavar="N|auto",
-                       help="burst-drain chunk per scheduler: an integer "
-                            "pins drain_chunk, 'auto' attaches the "
-                            "batch-histogram autotuner")
     from repro.shard.driver import DEFAULT_MAX_RETRIES
     p_sim.add_argument("--max-retries", type=int, default=DEFAULT_MAX_RETRIES,
                        metavar="N",
@@ -774,10 +698,10 @@ def build_parser():
                          metavar="NAME=FRAC", default=None,
                          help="override the threshold for one scenario "
                               "(repeatable), e.g. sharded_pipeline=0.6")
-    p_bench.add_argument("--chunk", type=_chunk_arg, default=None,
+    p_bench.add_argument("--chunk", type=_positive_int, default=None,
                          metavar="N",
-                         help="override the chunk sweep of the chunk-aware "
-                              "scenarios (batch_pipeline, hier_vector)")
+                         help="override the chunk sweep of the "
+                              "batch_pipeline scenario")
     p_bench.add_argument("--jobs", type=_positive_int, default=1,
                          metavar="N",
                          help="run scenarios across N worker processes "
@@ -818,4 +742,16 @@ def build_parser():
 def main(argv=None):
     parser = build_parser()
     args = parser.parse_args(argv)
-    return args.func(args)
+    try:
+        status = args.func(args)
+        # Flush inside the guard so a closed pipe raises here rather than
+        # in the interpreter's exit-time flush.
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # The reader went away (``repro stats | head -1``).  Point stdout
+        # at devnull so the exit-time flush has somewhere to go, and exit
+        # 1, as the Python documentation's SIGPIPE note recommends.
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        return 1
+    return status

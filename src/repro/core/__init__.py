@@ -10,8 +10,6 @@ One-level Packet Fair Queueing (PFQ) servers:
   exact GPS tags).
 * :class:`~repro.core.wf2qplus.WF2QPlusScheduler` — **the paper's
   contribution**: SEFF with the eq. (27) virtual time; O(log N).
-* :class:`~repro.core.batch.VectorWF2QPlus` — opt-in float64 columnar
-  WF2Q+ backend (numpy-accelerated batch tagging when available).
 * :class:`~repro.core.scfq.SCFQScheduler` — Self-Clocked Fair Queueing.
 * :class:`~repro.core.sfq.SFQScheduler` — Start-time Fair Queueing.
 * :class:`~repro.core.drr.DRRScheduler` — Deficit Round Robin.
@@ -21,8 +19,6 @@ Hierarchical servers:
 
 * :class:`~repro.core.hierarchy.HPFQScheduler` — the Section 4 H-PFQ
   construction, generic in the per-node policy (H-WF2Q+, H-WFQ, H-SCFQ, ...).
-* :class:`~repro.core.hbatch.VectorHWF2QPlus` — opt-in float64 columnar
-  H-WF2Q+ backend (vectorized batch ARRIVE, fused RESET/RESTART chunks).
 * :class:`~repro.core.hgps.HGPSFluidSystem` — the fluid H-GPS reference.
 """
 
@@ -34,7 +30,6 @@ from repro.core.gps import GPSFluidSystem
 from repro.core.wfq import WFQScheduler
 from repro.core.wf2q import WF2QScheduler
 from repro.core.wf2qplus import WF2QPlusScheduler
-from repro.core.batch import FlowColumns, VectorWF2QPlus
 from repro.core.scfq import SCFQScheduler
 from repro.core.sfq import SFQScheduler
 from repro.core.drr import DRRScheduler
@@ -42,7 +37,6 @@ from repro.core.virtual_clock import VirtualClockScheduler
 from repro.core.wrr import WRRScheduler
 from repro.core.ffq import FFQScheduler
 from repro.core.ablation import NoEligibilityWF2QPlus, NoFloorWF2QPlus
-from repro.core.hbatch import NodeColumns, VectorHWF2QPlus, make_vhwf2qplus
 from repro.core.hgps import HGPSFluidSystem
 from repro.core.hierarchy import (
     HPFQScheduler,
@@ -64,8 +58,6 @@ __all__ = [
     "WFQScheduler",
     "WF2QScheduler",
     "WF2QPlusScheduler",
-    "FlowColumns",
-    "VectorWF2QPlus",
     "SCFQScheduler",
     "SFQScheduler",
     "DRRScheduler",
@@ -76,9 +68,6 @@ __all__ = [
     "NoFloorWF2QPlus",
     "HGPSFluidSystem",
     "HPFQScheduler",
-    "NodeColumns",
-    "VectorHWF2QPlus",
-    "make_vhwf2qplus",
     "NodeSpec",
     "make_hwf2qplus",
     "make_hwfq",

@@ -124,7 +124,7 @@ class FIFOScheduler(PacketScheduler):
     def drain_until(self, limit, now=None, into=None):
         if type(self) is FIFOScheduler and self._obs is None:
             return self._dequeue_chunk(
-                self.drain_chunk, limit, now, [] if into is None else into)
+                None, limit, now, [] if into is None else into)
         return PacketScheduler.drain_until(self, limit, now, into)
 
     def _dequeue_chunk(self, n, limit, now, records):

@@ -192,17 +192,6 @@ class PacketScheduler:
     #: verifies eligibility on every dequeue of such schedulers.
     seff = False
 
-    #: Per-call packet cap for :meth:`drain_until` (None = unbounded).
-    #: A class default so unconfigured instances pay zero per-instance
-    #: storage; set it on an *instance* (directly, via the sim layer's
-    #: ``chunk`` knob, or by :class:`repro.obs.profile.ChunkAutotuner`)
-    #: to bound how many packets one burst-drain call emits.  Chunking
-    #: never changes *what* is scheduled — callers like the Link re-enter
-    #: ``drain_until`` from the last finish time, so service records are
-    #: identical at any chunk size; only the amortization granularity
-    #: (and the batch histogram) moves.
-    drain_chunk = None
-
     def __init__(self, rate):
         #: The attached :class:`~repro.obs.events.EventBus`, or ``None``.
         #: An instance attribute (not a class default) so the hot-path
@@ -1029,26 +1018,21 @@ class PacketScheduler:
         schedules its completion as a real event).  ``limit=None`` drains
         everything.  ``into`` optionally names the output list (appended
         in service order even if a dequeue raises mid-chunk, so callers
-        can account for partially drained work).  A non-None
-        :attr:`drain_chunk` additionally caps the packets per call;
-        callers observe a shorter chunk and re-enter, so the resulting
-        service schedule is unchanged.
+        can account for partially drained work).
         """
         records = [] if into is None else into
         if self._backlog_packets:
             append = records.append
             dequeue = self.dequeue
-            chunk = self.drain_chunk
             count = 1
             record = dequeue(now)
             append(record)
             if limit is None:
-                while self._backlog_packets and count != chunk:
+                while self._backlog_packets:
                     append(dequeue())
                     count += 1
             else:
-                while (record.finish_time < limit and self._backlog_packets
-                       and count != chunk):
+                while record.finish_time < limit and self._backlog_packets:
                     record = dequeue()
                     append(record)
                     count += 1

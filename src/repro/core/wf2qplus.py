@@ -258,7 +258,7 @@ class WF2QPlusScheduler(PacketScheduler):
     def drain_until(self, limit, now=None, into=None):
         if type(self) is WF2QPlusScheduler and self._obs is None:
             return self._dequeue_chunk(
-                self.drain_chunk, limit, now, [] if into is None else into)
+                None, limit, now, [] if into is None else into)
         return PacketScheduler.drain_until(self, limit, now, into)
 
     def _dequeue_chunk(self, n, limit, now, records):

@@ -12,8 +12,7 @@ The subsystem has four layers, each usable on its own:
   properties (virtual-time monotonicity, SEFF eligibility, backlog
   conservation, hierarchy tag consistency) at the event where they break.
 * :mod:`repro.obs.profile` — opt-in wall-clock percentiles for the
-  enqueue/dequeue path, plus the batch-histogram chunk autotuner
-  (:class:`ChunkAutotuner` / :func:`recommend_chunk`).
+  enqueue/dequeue path and the batch-call histogram.
 
 Typical use::
 
@@ -40,14 +39,7 @@ from repro.obs.events import (
     event_from_dict,
 )
 from repro.obs.invariants import InvariantChecker, InvariantViolation
-from repro.obs.profile import (
-    CHUNK_CHOICES,
-    ChunkAutotuner,
-    OpStats,
-    SchedulerProfiler,
-    percentile,
-    recommend_chunk,
-)
+from repro.obs.profile import OpStats, SchedulerProfiler, percentile
 from repro.obs.sinks import (
     CallbackSink,
     FlowMetrics,
@@ -81,7 +73,4 @@ __all__ = [
     "SchedulerProfiler",
     "OpStats",
     "percentile",
-    "CHUNK_CHOICES",
-    "recommend_chunk",
-    "ChunkAutotuner",
 ]

@@ -11,14 +11,7 @@ statistics, surfaced by ``python -m repro stats``.
 import math
 import time
 
-__all__ = [
-    "SchedulerProfiler",
-    "OpStats",
-    "percentile",
-    "CHUNK_CHOICES",
-    "recommend_chunk",
-    "ChunkAutotuner",
-]
+__all__ = ["SchedulerProfiler", "OpStats", "percentile"]
 
 
 def percentile(sorted_samples, q):
@@ -221,153 +214,3 @@ class SchedulerProfiler:
         return (f"SchedulerProfiler({self.scheduler.name!r}, {state}, "
                 f"enq={len(self.enqueue_samples)}, "
                 f"deq={len(self.dequeue_samples)})")
-
-
-# ----------------------------------------------------------------------
-# Chunk-size autotuning from the batch histogram
-# ----------------------------------------------------------------------
-#: Candidate ``drain_chunk`` values, one representative per
-#: :data:`~repro.core.scheduler.BATCH_BUCKETS` histogram bucket
-#: ("1", "2-7", "8-63", "64-511", "512+").
-CHUNK_CHOICES = (1, 4, 32, 256, 512)
-
-
-def recommend_chunk(batch_samples, choices=CHUNK_CHOICES):
-    """Pick a drain chunk from ``(seconds, packets)`` batch samples.
-
-    Pure and deterministic — the same histogram always yields the same
-    recommendation (pinned by the autotuner test suite).  The samples
-    are the format :attr:`SchedulerProfiler.batch_samples` collects:
-    one ``(wall_seconds, packets_moved)`` pair per batch-API call.
-    Each sample lands in its :data:`~repro.core.scheduler.BATCH_BUCKETS`
-    size bucket; the bucket with the lowest aggregate per-packet cost
-    marks the measured amortization sweet spot and its representative
-    ``choices`` entry becomes the recommended chunk (ties break toward
-    the smaller chunk — latency over marginal throughput).  Returns
-    ``None`` when the samples moved no packets at all, meaning "leave
-    :attr:`~repro.core.scheduler.PacketScheduler.drain_chunk` alone".
-    """
-    from repro.core.scheduler import BATCH_BUCKETS, _bucket
-
-    if len(choices) != len(BATCH_BUCKETS):
-        raise ValueError(
-            f"need one chunk choice per histogram bucket "
-            f"({len(BATCH_BUCKETS)}), got {len(choices)}"
-        )
-    seconds = [0.0] * len(BATCH_BUCKETS)
-    packets = [0] * len(BATCH_BUCKETS)
-    for elapsed, moved in batch_samples:
-        if moved > 0:
-            index = _bucket(moved)
-            seconds[index] += elapsed
-            packets[index] += moved
-    best = None
-    best_cost = None
-    for index, moved in enumerate(packets):
-        if moved == 0:
-            continue
-        cost = seconds[index] / moved
-        if best_cost is None or cost < best_cost:
-            best = index
-            best_cost = cost
-    return None if best is None else choices[best]
-
-
-class ChunkAutotuner:
-    """Small controller: measure a calibration window, set ``drain_chunk``.
-
-    Wraps one scheduler's batch APIs (instance-attribute shadows, the
-    :class:`SchedulerProfiler` technique) to collect the same
-    ``(seconds, packets)`` batch histogram, and after ``window`` batch
-    calls applies :func:`recommend_chunk` to the scheduler's
-    ``drain_chunk`` and restores the unwrapped methods — so the steady
-    state runs at full speed with the tuned chunk.  The sim layer
-    attaches one per scheduler under ``--chunk auto``; chunking cannot
-    change what is scheduled (see ``drain_chunk``), so merge digests are
-    unaffected by when the tuner trips.
-
-    Do not stack on top of an attached :class:`SchedulerProfiler` — both
-    shadow the same instance attributes.  For offline tuning feed a
-    profiler's ``batch_samples`` straight to :func:`recommend_chunk`.
-    """
-
-    def __init__(self, scheduler, window=64, choices=CHUNK_CHOICES,
-                 clock=time.perf_counter):
-        self.scheduler = scheduler
-        self.window = window
-        self.choices = tuple(choices)
-        #: ``(seconds, packets)`` per batch call, recommend_chunk format.
-        self.batch_samples = []
-        #: The applied recommendation (None until the window fills, and
-        #: still None afterwards if the window moved no packets).
-        self.chosen = None
-        self._clock = clock
-        self._attached = False
-        self.attach()
-
-    def attach(self):
-        if self._attached:
-            return self
-        sched = self.scheduler
-        clock = self._clock
-        samples = self.batch_samples
-        orig_enqueue_batch = sched.enqueue_batch
-        orig_dequeue_batch = sched.dequeue_batch
-        orig_drain_until = sched.drain_until
-
-        def enqueue_batch(packets, now=None):
-            t0 = clock()
-            accepted = orig_enqueue_batch(packets, now)
-            samples.append((clock() - t0, accepted))
-            if len(samples) >= self.window:
-                self._finish()
-            return accepted
-
-        def dequeue_batch(n, now=None):
-            t0 = clock()
-            records = orig_dequeue_batch(n, now)
-            samples.append((clock() - t0, len(records)))
-            if len(samples) >= self.window:
-                self._finish()
-            return records
-
-        def drain_until(limit, now=None, into=None):
-            before = 0 if into is None else len(into)
-            t0 = clock()
-            records = orig_drain_until(limit, now, into)
-            samples.append((clock() - t0, len(records) - before))
-            if len(samples) >= self.window:
-                self._finish()
-            return records
-
-        sched.enqueue_batch = enqueue_batch
-        sched.dequeue_batch = dequeue_batch
-        sched.drain_until = drain_until
-        self._attached = True
-        return self
-
-    def detach(self):
-        """Restore the scheduler's unwrapped batch methods."""
-        if not self._attached:
-            return
-        del self.scheduler.enqueue_batch
-        del self.scheduler.dequeue_batch
-        del self.scheduler.drain_until
-        self._attached = False
-
-    @property
-    def attached(self):
-        return self._attached
-
-    def _finish(self):
-        self.detach()
-        chunk = recommend_chunk(self.batch_samples, self.choices)
-        if chunk is not None:
-            self.scheduler.drain_chunk = chunk
-        self.chosen = chunk
-
-    def __repr__(self):
-        state = "attached" if self._attached else "detached"
-        return (f"ChunkAutotuner({self.scheduler.name!r}, {state}, "
-                f"samples={len(self.batch_samples)}/{self.window}, "
-                f"chosen={self.chosen!r})")

@@ -35,7 +35,7 @@ class InjectedKill(RuntimeError):
 
 
 def build_service_spec(flows=32, rate=1e6, duration=2.0, length=8000.0,
-                       seed=1, waves=4, policy="wf2qplus", backend="exact"):
+                       seed=1, waves=4, policy="wf2qplus"):
     """A flat churn cell: flows come and go in staggered waves.
 
     Each flow emits CBR for roughly ``duration / waves`` seconds and then
@@ -66,7 +66,7 @@ def build_service_spec(flows=32, rate=1e6, duration=2.0, length=8000.0,
     return {
         "cell": "serve-soak", "kind": "flat",
         "scheduler": {"kind": "flat", "policy": policy, "rate": rate,
-                      "flows": flow_list, "backend": backend},
+                      "flows": flow_list},
         "sources": sources,
     }
 

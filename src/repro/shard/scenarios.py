@@ -25,14 +25,6 @@ four partitioning rules are represented:
 
 Every parameter that feeds randomness or identity is resolved here, at
 plan time; workers only replay the specs.
-
-All builders accept ``backend`` ("exact"/"vector") and ``chunk`` (int or
-"auto") knobs, stamped into every scheduler spec so the workers rebuild
-the same implementation everywhere — see
-:func:`~repro.shard.worker.build_scheduler`.  For a fixed backend the
-digest is invariant across shard counts, migrations, and any ``chunk``
-setting; the backend itself selects the arithmetic domain (float64
-columns vs the exact default), so digests compare like-for-like.
 """
 
 from repro.bench.parallel import scenario_seed
@@ -44,15 +36,6 @@ from repro.shard.worker import tree_to_list
 __all__ = ["SHARD_SCENARIOS", "build_scenario"]
 
 _LENGTH = 8000  # bits per packet (integer: exact under Fraction rates)
-
-
-def _stamp(sched_spec, backend, chunk):
-    """Record the backend/chunk knobs in a scheduler spec (None = omit)."""
-    if backend is not None:
-        sched_spec["backend"] = backend
-    if chunk is not None:
-        sched_spec["chunk"] = chunk
-    return sched_spec
 
 
 def _chunks(n, groups):
@@ -68,8 +51,7 @@ def _chunks(n, groups):
     return out
 
 
-def _flat_cells(name, flows, cells, rate, duration, make_source,
-                backend=None, chunk=None):
+def _flat_cells(name, flows, cells, rate, duration, make_source):
     specs = []
     for cell_index, members in enumerate(_chunks(flows, cells)):
         flow_ids = [(f"f{i}", 1 + (i % 3)) for i in members]
@@ -82,16 +64,14 @@ def _flat_cells(name, flows, cells, rate, duration, make_source,
             "cell": f"{name}{cell_index}",
             "kind": "flat",
             "duration": duration,
-            "scheduler": _stamp({"kind": "flat", "policy": "wf2qplus",
-                                 "rate": rate, "flows": flow_ids},
-                                backend, chunk),
+            "scheduler": {"kind": "flat", "policy": "wf2qplus",
+                          "rate": rate, "flows": flow_ids},
             "sources": sources,
         })
     return specs
 
 
-def scenario_cbr_flat(flows=64, cells=8, rate=1e9, duration=0.01, seed=1,
-                      backend=None, chunk=None):
+def scenario_cbr_flat(flows=64, cells=8, rate=1e9, duration=0.01, seed=1):
     """Disjoint CBR groups at 92% load, starts staggered per flow."""
     stagger = _LENGTH / rate / max(1, flows)
 
@@ -101,11 +81,10 @@ def scenario_cbr_flat(flows=64, cells=8, rate=1e9, duration=0.01, seed=1,
 
     return {"name": "cbr_flat", "duration": duration,
             "cells": _flat_cells("c", flows, cells, rate, duration,
-                                 make_source, backend, chunk)}
+                                 make_source)}
 
 
-def scenario_poisson_mix(flows=48, cells=6, rate=1e9, duration=0.01, seed=1,
-                         backend=None, chunk=None):
+def scenario_poisson_mix(flows=48, cells=6, rate=1e9, duration=0.01, seed=1):
     """Disjoint Poisson groups at 85% mean load, seeds fixed per flow."""
 
     def make_source(cell_index, i, fid, fraction):
@@ -116,11 +95,10 @@ def scenario_poisson_mix(flows=48, cells=6, rate=1e9, duration=0.01, seed=1,
 
     return {"name": "poisson_mix", "duration": duration,
             "cells": _flat_cells("p", flows, cells, rate, duration,
-                                 make_source, backend, chunk)}
+                                 make_source)}
 
 
-def scenario_hier(flows=48, cells=6, rate=10**9, duration=0.01, seed=1,
-                  backend=None, chunk=None):
+def scenario_hier(flows=48, cells=6, rate=10**9, duration=0.01, seed=1):
     """One hierarchy split at the root into per-subtree cells.
 
     Integer link rate + integer shares keep every slice an exact
@@ -150,17 +128,14 @@ def scenario_hier(flows=48, cells=6, rate=10**9, duration=0.01, seed=1,
             "cell": child.name,
             "kind": "flat",
             "duration": duration,
-            "scheduler": _stamp({"kind": "hpfq", "policy": "wf2qplus",
-                                 "rate": slice_rate,
-                                 "tree": tree_to_list(child)},
-                                backend, chunk),
+            "scheduler": {"kind": "hpfq", "policy": "wf2qplus",
+                          "rate": slice_rate, "tree": tree_to_list(child)},
             "sources": sources,
         })
     return {"name": "hier", "duration": duration, "cells": specs}
 
 
-def scenario_multihop(flows=None, cells=4, rate=1e8, duration=0.02, seed=1,
-                      backend=None, chunk=None):
+def scenario_multihop(flows=None, cells=4, rate=1e8, duration=0.02, seed=1):
     """Disjoint two-hop chains; cells via connected components.
 
     Per component: two flows crossing both hops plus one single-hop flow
@@ -173,12 +148,9 @@ def scenario_multihop(flows=None, cells=4, rate=1e8, duration=0.02, seed=1,
     source_of = {}
     for k in range(cells):
         a, b = f"a{k}", f"b{k}"
-        nodes.append((a, _stamp({"kind": "flat", "policy": "wf2qplus",
-                                 "rate": rate, "flows": []},
-                                backend, chunk), 0.0))
-        nodes.append((b, _stamp({"kind": "flat", "policy": "wf2qplus",
-                                 "rate": rate, "flows": []},
-                                backend, chunk), 0.0))
+        for name in (a, b):
+            nodes.append((name, {"kind": "flat", "policy": "wf2qplus",
+                                 "rate": rate, "flows": []}, 0.0))
         stagger = _LENGTH / rate / 8
         for j, (suffix, path, share, buffer, load) in enumerate((
                 ("x", [a, b], 2, None, 0.5),
@@ -219,7 +191,7 @@ SHARD_SCENARIOS = {
 def build_scenario(name, **params):
     """Build a named scenario; unknown names raise ConfigurationError.
 
-    ``params`` (flows, cells, rate, duration, seed, backend, chunk)
+    ``params`` (flows, cells, rate, duration, seed)
     override the scenario's defaults; ``None`` values are dropped so CLI
     plumbing can pass absent flags straight through.
     """

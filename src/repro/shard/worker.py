@@ -85,64 +85,32 @@ def tree_to_list(spec):
 def build_scheduler(spec):
     """Instantiate a scheduler from its plain-data spec.
 
-    ``spec["backend"]`` selects the implementation: ``"exact"`` (default)
-    builds the reference scheduler, ``"vector"`` the columnar float64
-    backend (:class:`~repro.core.hbatch.VectorHWF2QPlus` for ``hpfq``
-    specs, :class:`~repro.core.batch.VectorWF2QPlus` for flat WF2Q+).
-    Because the backend rides in the cell spec, every process — shard
-    workers, the single-process ``--verify`` baseline, a migration's
-    resume segment — rebuilds the same implementation, so the merged
-    digest stays invariant across shard counts and migrations for either
-    setting.  (Exact and vector runs are compared like-for-like: the
-    vector backends reproduce exact *float* scheduling, but they work in
-    a different arithmetic domain than the exact default — float64
-    columns versus Fractions-preserving tags — so the two backends'
-    digests are not interchangeable.)  ``spec["chunk"]`` bounds the
-    burst-drain chunk: an integer pins ``drain_chunk`` directly,
-    ``"auto"`` attaches a :class:`~repro.obs.profile.ChunkAutotuner`;
-    chunking never changes what is scheduled, so this knob *is*
-    digest-invariant.
+    Specs written by earlier versions may carry ``"backend": "exact"``
+    (every serve checkpoint did) and a ``"chunk"`` drain size; both are
+    accepted and ignored, since the exact scheduler is the only
+    implementation and chunking never changed what is served.  Any other
+    backend names an implementation that no longer exists and raises
+    :class:`~repro.errors.ConfigurationError`.
     """
     backend = spec.get("backend", "exact")
-    if backend not in ("exact", "vector"):
+    if backend != "exact":
         raise ConfigurationError(
-            f"unknown scheduler backend {backend!r}; "
-            f"choose 'exact' or 'vector'")
+            f"unknown scheduler backend {backend!r}: the float64 'vector' "
+            f"backend was removed, and 'exact' (the default) is the only "
+            f"one left")
     if spec["kind"] == "hpfq":
-        if backend == "vector":
-            from repro.core import VectorHWF2QPlus
+        from repro.core import HPFQScheduler
 
-            sched = VectorHWF2QPlus(_tree_from_list(spec["tree"]),
-                                    spec["rate"], policy=spec["policy"])
-        else:
-            from repro.core import HPFQScheduler
-
-            sched = HPFQScheduler(_tree_from_list(spec["tree"]),
-                                  spec["rate"], policy=spec["policy"])
+        sched = HPFQScheduler(_tree_from_list(spec["tree"]),
+                              spec["rate"], policy=spec["policy"])
     else:
         classes = _scheduler_classes()
         if spec["policy"] not in classes:
             raise ConfigurationError(
                 f"unknown scheduler policy {spec['policy']!r}")
-        cls = classes[spec["policy"]]
-        if backend == "vector":
-            if spec["policy"] != "wf2qplus":
-                raise ConfigurationError(
-                    f"backend 'vector' supports policy 'wf2qplus' only, "
-                    f"got {spec['policy']!r}")
-            from repro.core import VectorWF2QPlus
-
-            cls = VectorWF2QPlus
-        sched = cls(spec["rate"])
+        sched = classes[spec["policy"]](spec["rate"])
         for flow_id, share in spec["flows"]:
             sched.add_flow(flow_id, share)
-    chunk = spec.get("chunk")
-    if chunk == "auto":
-        from repro.obs import ChunkAutotuner
-
-        ChunkAutotuner(sched)
-    elif chunk is not None:
-        sched.drain_chunk = int(chunk)
     for flow_id, packets in sorted(spec.get("buffers", {}).items(),
                                    key=lambda kv: str(kv[0])):
         sched.set_buffer_limit(flow_id, packets)

@@ -261,17 +261,6 @@ class Link:
         arbitrary user code that may touch the simulator mid-burst, so it
         keeps the packet-at-a-time loop with a validated
         :meth:`~repro.sim.engine.Simulator.advance_to` per packet.
-
-        A scheduler with
-        :attr:`~repro.core.scheduler.PacketScheduler.drain_chunk` set
-        (directly, via a cell spec's ``chunk``, or by the
-        :class:`~repro.obs.profile.ChunkAutotuner`) returns from
-        ``drain_until`` every ``drain_chunk`` packets; the ``while True``
-        here simply re-enters it from the last finish time, so the
-        records accumulate and the billing below is unchanged.  Chunking
-        therefore bounds kernel latency without affecting what is
-        scheduled — the vector backends exploit this to keep their
-        columnar batches cache-sized.
         """
         scheduler = self.scheduler
         obs = scheduler.observer

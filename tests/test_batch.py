@@ -1,15 +1,12 @@
 """Differential suite for the batch scheduling core.
 
-Three equivalence claims are pinned here:
+Two equivalence claims are pinned here:
 
 * **batch == per-packet** — any mix of ``enqueue_batch`` /
   ``dequeue_batch`` / ``drain_until`` produces exactly the records the
   equivalent per-packet call sequence produces: same service order, same
   times, same virtual tags (exact under ``Fraction``), same drop
   ledgers, and the same observer event stream when a bus is attached.
-* **vector == exact** — :class:`VectorWF2QPlus` is bit-identical to the
-  exact ``WF2QPlusScheduler`` on float workloads whose guaranteed rates
-  are powers of two, with or without numpy, per-packet or batched.
 * **the sim layer batch path is invisible** — ``Link.send_batch`` and
   the batch burst drain yield the same services and counters as the
   per-packet stepping path (forced via a non-passive sink), and
@@ -28,10 +25,8 @@ from repro.core import (
     HPFQScheduler,
     SCFQScheduler,
     SFQScheduler,
-    VectorWF2QPlus,
     WF2QPlusScheduler,
 )
-from repro.core.batch import HAVE_NUMPY, NUMPY_MIN_CHUNK
 from repro.core.packet import Packet
 from repro.core.scheduler import BATCH_KERNEL_MIN
 from repro.errors import SimulationError
@@ -69,7 +64,6 @@ BUILDERS = [
     ("SFQ", lambda rate: flat(SFQScheduler, rate), True),
     ("SCFQ", lambda rate: flat(SCFQScheduler, rate), True),
     ("H-WF2Q+", tree, True),
-    ("VectorWF2Q+", lambda rate: flat(VectorWF2QPlus, rate), False),
 ]
 
 LENGTHS = (500, 1000, 1500, 8000)
@@ -307,129 +301,6 @@ def test_small_chunks_use_per_packet_path():
     assert sched.batch_stats()["batch_calls"] == 1
     assert len(sched.dequeue_batch(1)) == 1
     assert sched.batch_stats()["batch_calls"] == 2
-
-
-# ----------------------------------------------------------------------
-# vector == exact
-# ----------------------------------------------------------------------
-def pow2_flat(cls, flows=4):
-    # rate and equal shares chosen so r_i = rate/flows is a power of two:
-    # L / r and L * (1/r) are then both exact in float64.
-    sched = cls(float(2 ** 20))
-    for i in range(flows):
-        sched.add_flow(str(i), 1)
-    return sched
-
-
-@pytest.mark.parametrize("seed", [3, 11])
-def test_vector_bit_identical_to_exact_float(seed):
-    ops = make_ops(random.Random(seed), flows=4)
-    ref = apply_per_packet(pow2_flat(WF2QPlusScheduler), ops, frac=False)
-    got = apply_batched(pow2_flat(VectorWF2QPlus), ops, frac=False)
-    assert [rec_tuple(r) for r in got] == [rec_tuple(r) for r in ref]
-
-
-def test_vector_fraction_inputs_are_float_approximate():
-    exact = flat(WF2QPlusScheduler, Fr(1_000_000), flows=3)
-    vec = flat(VectorWF2QPlus, Fr(1_000_000), flows=3)
-    for i in range(30):
-        p = Packet(str(i % 3), 1000)
-        exact.enqueue(p, now=Fr(0))
-        vec.enqueue(Packet(str(i % 3), 1000), now=0.0)
-    ref, got = exact.drain(), vec.drain()
-    assert len(got) == len(ref)
-    for r, g in zip(ref, got):
-        assert isinstance(g.finish_time, float)
-        assert g.finish_time == pytest.approx(float(r.finish_time))
-
-
-@pytest.mark.skipif(not HAVE_NUMPY, reason="numpy unavailable")
-def test_vector_numpy_and_fallback_paths_identical(monkeypatch):
-    def run():
-        sched = pow2_flat(VectorWF2QPlus, flows=32)
-        # Same-instant bursts over >= NUMPY_MIN_CHUNK newly backlogged
-        # flows reach the vectorized group-tagging path.
-        burst = [Packet(str(i), 1000) for i in range(2 * NUMPY_MIN_CHUNK)]
-        sched.enqueue_batch(burst, now=0.0)
-        records = sched.dequeue_batch(NUMPY_MIN_CHUNK)
-        last = records[-1].finish_time
-        sched.enqueue_batch(
-            [Packet(str(i), 500) for i in range(NUMPY_MIN_CHUNK)], now=last)
-        sched.drain_until(None, into=records)
-        return [rec_tuple(r) for r in records]
-
-    with_numpy = run()
-    import repro.core.batch as batch_mod
-    monkeypatch.setattr(batch_mod, "HAVE_NUMPY", False)
-    assert run() == with_numpy
-
-
-def test_vector_snapshot_mid_batch_roundtrip():
-    sched = pow2_flat(VectorWF2QPlus, flows=8)
-    sched.enqueue_batch([Packet(str(i % 8), 1000) for i in range(40)],
-                        now=0.0)
-    sched.dequeue_batch(13)  # snapshot lands mid-chunk state
-    snap = sched.snapshot()
-    first = [rec_tuple(r) for r in sched.drain()]
-    fresh = pow2_flat(VectorWF2QPlus, flows=8)
-    fresh.restore(snap)
-    assert [rec_tuple(r) for r in fresh.drain()] == first
-
-
-def test_vector_matches_exact_service_order_on_fig2():
-    """The paper's Figure-2 example through the float64 backend.  Shares
-    are given as integers in the paper's 10:1 ratio rather than 0.5/0.05
-    — 0.05 is not representable in binary, and the rounded share flips
-    the S == V eligibility knife-edge the SEFF alternation sits on; with
-    integer shares every tag is float64-exact and the vector backend
-    must reproduce the exact path's service order."""
-    from repro.experiments.fig2 import fig2_schedule
-
-    ref = [flow_id for flow_id, _s, _f in fig2_schedule(WF2QPlusScheduler)]
-
-    vec = VectorWF2QPlus(rate=1.0)
-    vec.add_flow(1, 10)
-    for j in range(2, 12):
-        vec.add_flow(j, 1)
-    vec.enqueue_batch([Packet(1, 1) for _ in range(11)], now=0.0)
-    vec.enqueue_batch([Packet(j, 1) for j in range(2, 12)], now=0.0)
-    got = [rec.flow_id for rec in vec.drain()]
-
-    assert got == ref
-    assert got[:4] == [1, 2, 1, 3]  # SEFF alternation, paper Section 3.1
-
-
-@pytest.mark.parametrize("seed", [5, 17])
-def test_vector_matches_exact_service_order_on_bursty(seed):
-    """Bursty on/off arrivals (idle gaps crossing busy-period boundaries
-    exercise the epoch-based tag resets) through both backends."""
-    def run(sched):
-        rng = random.Random(seed)
-        records = []
-        clock = 0.0
-        for _ in range(40):
-            fid = str(rng.randrange(4))
-            burst = [Packet(fid, rng.choice((512, 1024)))
-                     for _ in range(rng.randrange(1, 12))]
-            sched.enqueue_batch(burst, now=clock)
-            if rng.random() < 0.6:
-                horizon = clock + rng.randrange(1, 64) / 1024.0
-                sched.drain_until(horizon, into=records)
-            # Occasional long gaps drain the system entirely: the next
-            # burst then opens a fresh busy period.
-            clock += rng.choice((1, 1, 2, 64)) / 1024.0
-            if records:
-                clock = max(clock, records[-1].finish_time)
-        sched.drain_until(None, into=records)
-        return records
-
-    ref = run(pow2_flat(WF2QPlusScheduler))
-    got = run(pow2_flat(VectorWF2QPlus))
-    assert len(ref) > 150
-    assert ([(r.flow_id, r.packet.length) for r in got]
-            == [(r.flow_id, r.packet.length) for r in ref])
-    # Power-of-two rates make float64 exact, so tags agree bit-for-bit.
-    assert [rec_tuple(r) for r in got] == [rec_tuple(r) for r in ref]
 
 
 # ----------------------------------------------------------------------

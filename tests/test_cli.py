@@ -1,7 +1,12 @@
 """Tests for the command-line interface."""
 
+import os
+import subprocess
+import sys
+
 import pytest
 
+import repro
 from repro.cli import build_parser, main
 
 
@@ -102,3 +107,24 @@ class TestStats:
         out = capsys.readouterr().out
         assert "repro stats" in out
         assert "invariants" not in out
+
+
+class TestBrokenPipe:
+    def test_reader_closing_the_pipe_exits_1_without_traceback(self):
+        """``repro stats | head -1``.  3000 flows print a ~250 KB metrics
+        table, several times a default pipe buffer (64 KiB on Linux), so
+        the command is still writing when the reader closes the pipe
+        after one line."""
+        src = os.path.dirname(os.path.dirname(repro.__file__))
+        env = dict(os.environ, PYTHONPATH=src)
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "repro", "stats", "--scheduler", "fifo",
+             "--flows", "3000", "--packets", "1"],
+            stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env)
+        first = proc.stdout.readline()
+        proc.stdout.close()
+        _, stderr = proc.communicate(timeout=60)
+        assert proc.returncode == 1
+        assert first.startswith(b"repro stats")
+        assert b"Traceback" not in stderr
+        assert b"BrokenPipeError" not in stderr

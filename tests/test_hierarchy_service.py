@@ -6,7 +6,7 @@ memoises ``L / r_n`` for the last integer packet length.  These tests pin:
 
 * ``node_service`` is the exact bit count, also under float rates, and is
   untouched by share and link-rate changes, while ``node_reference_time``
-  follows the current rate; the vector backend counts the same bits;
+  follows the current rate;
 * the memo never serves a stale or wrongly typed product: after an equal
   float length, and across ``set_share``, ``set_link_rate``,
   ``attach_subtree`` and ``restore`` at other rates, tags and service
@@ -23,13 +23,10 @@ from fractions import Fraction as Fr
 import pytest
 
 from repro.config import leaf, node
-from repro.core.hbatch import VectorHWF2QPlus
 from repro.core.hierarchy import HPFQScheduler, _HNode
 from repro.core.packet import Packet
 
-from tests.test_equivalence_optimized import NaiveWF2QPlusNodePolicy, drive
-from tests.test_hier_vector import drive_batched, float_workload
-from tests.test_hierarchy_differential import random_tree
+from tests.test_equivalence_optimized import NaiveWF2QPlusNodePolicy
 
 #: The paper's Figure 7 packet size: 8 KB in bits.
 L = 65536
@@ -112,22 +109,6 @@ def test_fraction_reference_time_is_service_over_current_rate():
     check()
     assert {name: sched.node_service(name)
             for name in names} == subtree_bits(sched, records)
-
-
-@pytest.mark.parametrize("seed", [1, 2, 3])
-def test_vector_backend_counts_the_same_service(seed):
-    rng = random.Random(seed)
-    spec, leaves = random_tree(rng)
-    while len(leaves) < 4:
-        spec, leaves = random_tree(rng)
-    arrivals = float_workload(rng, leaves)
-    vec = VectorHWF2QPlus(spec, 16.0)
-    ref = HPFQScheduler(spec, 16.0)
-    assert drive_batched(vec, arrivals) == drive(ref, arrivals)
-    assert vec.vector_stats()["vector_dequeued"] > 0
-    for name in ref._nodes:
-        assert vec.node_service(name) == ref.node_service(name), name
-    assert ref.node_service("root") == sum(ln for *_, ln in arrivals)
 
 
 # ----------------------------------------------------------------------

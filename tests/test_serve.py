@@ -3,8 +3,9 @@
 Covers the ServiceRunner's streaming loop, the chained service digest,
 mid-run reconfiguration commands, the supervisor's bounded
 restart/backoff schedule, the stall watchdog, invariant-violation
-quarantine with crash escalation, and the kill/recover soak harness's
-digest-identity verdict.  Checkpoint *file* defects (truncation,
+quarantine with crash escalation, the kill/recover soak harness's
+digest-identity verdict, and recovery from a checkpoint written by an
+earlier version.  Checkpoint *file* defects (truncation,
 corruption, version skew) live in ``test_serve_recovery.py``.
 """
 
@@ -18,6 +19,7 @@ from repro.errors import (
     ServiceCrash,
     ServiceStall,
 )
+from repro.faults.checkpoint import save_checkpoint
 from repro.obs import CallbackSink, DequeueEvent
 from repro.serve import (
     DigestTrace,
@@ -237,6 +239,132 @@ class TestRecoveryDigest:
         with pytest.raises(CheckpointError) as err:
             ServiceRunner.recover(tmp_path / "nothing-here")
         assert err.value.reason == "missing"
+
+
+# ----------------------------------------------------------------------
+# Checkpoints written by earlier versions
+# ----------------------------------------------------------------------
+#: A serve checkpoint payload as earlier versions wrote it, taken at the
+#: t=0.02 boundary (one packet in flight) of
+#: ``build_service_spec(flows=2, rate=1e6, duration=0.05, seed=3,
+#: waves=2)`` with ``checkpoint_every=0.01``.  Its scheduler spec still
+#: carries ``"backend": "exact"``, which every such checkpoint did.
+LEGACY_CHECKPOINT = {
+    "kind": "serve",
+    "spec": {
+        "cell": "serve-soak", "kind": "flat",
+        "scheduler": {
+            "kind": "flat", "policy": "wf2qplus", "rate": 1000000.0,
+            "flows": [("f0000", 1), ("f0001", 2)], "backend": "exact",
+        },
+        "sources": [
+            {
+                "type": "cbr", "flow": "f0000", "length": 8000.0,
+                "rate": 900000.0, "start": 0.0005949115677297285,
+                "stop": 0.020594911567729732,
+            },
+            {
+                "type": "cbr", "flow": "f0001", "length": 8000.0,
+                "rate": 900000.0, "start": 0.02636057306323988,
+                "stop": 0.04636057306323989,
+            },
+        ],
+        "faults": [],
+    },
+    "clock": 0.02,
+    "link": {
+        "transmitting": True, "paused": False, "bits_sent": 16000.0,
+        "packets_sent": 2, "packets_dropped": 0, "busy_time": 0.016,
+        "current": {
+            "packet": {
+                "uid": 2, "flow_id": "f0000", "length": 8000.0,
+                "arrival_time": 0.018372689345507506, "seqno": 2,
+                "payload": None,
+            },
+            "start_time": 0.018372689345507506,
+            "finish_time": 0.026372689345507506, "virtual_start": 0,
+            "virtual_finish": 0.024,
+        },
+        "scheduler": {
+            "scheduler": "WF2Q+", "rate": 1000000.0,
+            "clock": 0.018372689345507506, "free_at": 0.026372689345507506,
+            "tag_epoch": 3, "next_flow_index": 2, "arrivals": 3, "enqueues": 3,
+            "dequeues": 3, "drops": {}, "drops_total": 0, "drops_lifetime": 0,
+            "backlog_packets": 0, "backlog_bits": 0.0, "buffer_limits": {},
+            "drop_policies": {}, "shared_limit": None, "shared_policy": "tail",
+            "batch_calls": 0, "batch_packets": 0,
+            "batch_hist": [0, 0, 0, 0, 0],
+            "flows": {
+                "f0000": {
+                    "queue": [], "start_tag": 0, "finish_tag": 0.024,
+                    "bits_queued": 0.0, "index": 0, "tag_epoch": 3, "share": 1,
+                },
+                "f0001": {
+                    "queue": [], "start_tag": 0, "finish_tag": 0,
+                    "bits_queued": 0, "index": 1, "tag_epoch": 0, "share": 2,
+                },
+            },
+            "evicted": {},
+            "extra": {
+                "virtual": 0.0, "virtual_stamp": 0.018372689345507506,
+                "eligible": {"seq": 3, "entries": []},
+                "ineligible": {"seq": 0, "entries": []},
+            },
+        },
+    },
+    "sources": [
+        {
+            "flow_id": "f0000", "packets_sent": 3, "bits_sent": 24000.0,
+            "pending_time": 0.027261578234396393, "timetable": [],
+            "timetable_idx": 0, "extra": None,
+        },
+        {
+            "flow_id": "f0001", "packets_sent": 0, "bits_sent": 0,
+            "pending_time": 0.02636057306323988, "timetable": [],
+            "timetable_idx": 0, "extra": None,
+        },
+    ],
+    "digest": {
+        "digest": ("83833a06fcea7636d9b3c81e6dda16fa"
+                   "35a38408286de26fc63fef41b7652d4c"),
+        "rows": 2, "arrivals": 3,
+        "last_active": {"f0000": 0.018372689345507506},
+    },
+    "ingress": {"blocked": [], "dropped": 0},
+    "quarantine": {"pending": [], "done": []},
+    "stats": {"commands": 0, "checkpoints": 1, "recoveries": 0},
+}
+
+#: The digest of that workload run uninterrupted to t=0.05 (5 rows).
+LEGACY_FINAL_DIGEST = ("397c7a1661174b5e504960b3e1a68079"
+                       "7d28a3aa8502075ffa508ff7e6b59c6e")
+
+
+class TestLegacyCheckpoint:
+    def spec(self):
+        return build_service_spec(flows=2, rate=1e6, duration=0.05, seed=3,
+                                  waves=2)
+
+    def test_spec_no_longer_names_a_backend(self):
+        spec = self.spec()
+        assert "backend" not in spec["scheduler"]
+        legacy = LEGACY_CHECKPOINT["spec"]
+        assert {**spec["scheduler"], "backend": "exact"} == legacy["scheduler"]
+
+    def test_recovers_and_continues_to_the_uninterrupted_digest(
+            self, tmp_path):
+        save_checkpoint(tmp_path / "ckpt-00000002.bin", LEGACY_CHECKPOINT)
+        survivor = ServiceRunner.recover(tmp_path, checkpoint_every=0.01)
+        assert survivor.now == 0.02
+        assert survivor.trace.rows == 2
+        survivor.run_to(0.05)
+
+        baseline = ServiceRunner(self.spec(), checkpoint_every=0.01)
+        baseline.run_to(0.05)
+        assert baseline.digest == LEGACY_FINAL_DIGEST
+        assert survivor.digest == baseline.digest
+        assert survivor.trace.rows == baseline.trace.rows == 5
+        assert survivor.link.scheduler.conservation()["balanced"]
 
 
 # ----------------------------------------------------------------------

@@ -14,6 +14,7 @@ import pytest
 
 from repro.cli import build_parser, main
 from repro.config import HierarchySpec, leaf, node
+from repro.core.packet import Packet
 from repro.errors import ConfigurationError
 from repro.shard import (
     SHARD_SCENARIOS,
@@ -26,6 +27,7 @@ from repro.shard import (
     subtree_slices,
     validate_cells,
 )
+from repro.shard.worker import build_scheduler
 
 
 def _cbr_cell(cid, flows, rate=1e6, duration=1.0, per_flow_rate=1e5):
@@ -202,6 +204,44 @@ class TestScenarios:
         again = build_scenario("poisson_mix", flows=8, cells=2)
         assert [src["seed"] for cell in again["cells"]
                 for src in cell["sources"]] == seeds
+
+
+# ----------------------------------------------------------------------
+# Scheduler specs, including keys written by earlier versions
+# ----------------------------------------------------------------------
+class TestBuildScheduler:
+    def flat_spec(self, **extra):
+        return {"kind": "flat", "policy": "wf2qplus", "rate": 8.0,
+                "flows": [["a", 1], ["b", 1]], **extra}
+
+    def hier_spec(self, **extra):
+        return {"kind": "hpfq", "policy": "wf2qplus", "rate": 8,
+                "tree": ["root", 1, [["a", 1, []], ["b", 3, []]]], **extra}
+
+    @staticmethod
+    def transcript(sched):
+        for i in range(6):
+            sched.enqueue(Packet("ab"[i % 2], 1, seqno=i), now=0)
+        return [(r.flow_id, r.packet.seqno, r.finish_time)
+                for r in sched.drain()]
+
+    @pytest.mark.parametrize("backend", ["simd", "vector"])
+    def test_build_scheduler_rejects_unknown_backend(self, backend):
+        for spec in (self.flat_spec(backend=backend),
+                     self.hier_spec(backend=backend)):
+            with pytest.raises(ConfigurationError, match=backend) as err:
+                build_scheduler(spec)
+            assert "'vector' backend was removed" in str(err.value)
+
+    @pytest.mark.parametrize("extra", [
+        {"backend": "exact"}, {"chunk": 64}, {"chunk": "auto"},
+    ], ids=["exact", "chunk", "chunk-auto"])
+    def test_legacy_backend_and_chunk_keys_serve_the_same(self, extra):
+        for make in (self.flat_spec, self.hier_spec):
+            sched = build_scheduler(make(**extra))
+            assert "drain_chunk" not in vars(sched)
+            assert self.transcript(sched) == self.transcript(
+                build_scheduler(make()))
 
 
 # ----------------------------------------------------------------------
