@@ -40,11 +40,10 @@ from repro.bench.harness import (
     to_payload,
 )
 from repro.bench.parallel import parallel_map, run_scenarios_parallel
-from repro.bench.scenarios import CHUNK_AWARE, SCENARIOS, run_scenarios
+from repro.bench.scenarios import SCENARIOS, run_scenarios
 
 __all__ = [
     "BenchPoint",
-    "CHUNK_AWARE",
     "SCENARIOS",
     "compare",
     "format_compare",

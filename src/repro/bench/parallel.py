@@ -8,8 +8,8 @@ sequential :func:`~repro.bench.scenarios.run_scenarios` — same points,
 same ordering, only the ``ns_per_packet`` values differ by measurement
 noise.
 
-Spawn-safety: workers receive only picklable ``(name, quick, seed,
-chunk)`` tuples and re-import the scenario registry themselves, so the default
+Spawn-safety: workers receive only picklable ``(name, quick, seed)``
+tuples and re-import the scenario registry themselves, so the default
 ``spawn`` start method works everywhere (macOS, Windows, and any future
 ``forkserver`` configuration).  Each worker seeds :mod:`random` with a
 seed derived deterministically from the scenario *name and its position
@@ -63,12 +63,10 @@ def scenario_seed(name, index=0, base=_SEED_BASE):
 
 def _run_scenario(job):
     """Pool worker: run one scenario (top-level, so spawn can pickle it)."""
-    name, quick, seed, chunk = job
-    from repro.bench.scenarios import CHUNK_AWARE, SCENARIOS
+    name, quick, seed = job
+    from repro.bench.scenarios import SCENARIOS
 
     random.seed(seed)
-    if name in CHUNK_AWARE:
-        return name, SCENARIOS[name](quick, chunk=chunk)
     return name, SCENARIOS[name](quick)
 
 
@@ -79,7 +77,7 @@ def _resolve_jobs(jobs, n_tasks):
 
 
 def run_scenarios_parallel(names=None, quick=False, jobs=None,
-                           progress=None, mp_context=None, chunk=None):
+                           progress=None, mp_context=None):
     """Run the named scenarios across ``jobs`` processes; return the points.
 
     Drop-in parallel variant of
@@ -88,9 +86,7 @@ def run_scenarios_parallel(names=None, quick=False, jobs=None,
     ``jobs=None`` uses the CPU count; ``jobs<=1`` degrades to the
     sequential runner (no pool, no pickling requirements).
     ``mp_context`` overrides the start method (tests use ``"fork"`` so a
-    monkeypatched scenario registry reaches the workers).  ``chunk``
-    reaches the chunk-aware scenarios exactly as in the sequential
-    runner.
+    monkeypatched scenario registry reaches the workers).
     """
     from repro.bench.scenarios import SCENARIOS, run_scenarios
 
@@ -110,12 +106,11 @@ def run_scenarios_parallel(names=None, quick=False, jobs=None,
             f"at most once per sweep (repeats would reuse its seed)")
     jobs = _resolve_jobs(jobs, len(names))
     if jobs <= 1:
-        return run_scenarios(names=names, quick=quick, progress=progress,
-                             chunk=chunk)
+        return run_scenarios(names=names, quick=quick, progress=progress)
     ctx = multiprocessing.get_context(mp_context or _DEFAULT_START)
     results = {}
     with ctx.Pool(processes=jobs) as pool:
-        job_args = [(name, quick, scenario_seed(name, index), chunk)
+        job_args = [(name, quick, scenario_seed(name, index))
                     for index, name in enumerate(names)]
         for name, points in pool.imap_unordered(_run_scenario, job_args):
             results[name] = points

@@ -31,13 +31,6 @@ The scenarios target the hot paths this repo optimises:
     event-elision/burst-drain fast path targets: cost here is event-loop
     + source + link overhead *around* the scheduler, not just tag
     arithmetic.
-``batch_pipeline``
-    Saturated churn driven through the chunk-at-a-time batch APIs
-    (``enqueue_batch`` / ``dequeue_batch``) at chunk sizes 1/64/512,
-    next to a plain per-packet baseline (``chunk=0``).  The chunk=1
-    point must stay within noise of the baseline (the batch path costs
-    nothing when unused); the larger chunks measure what the amortised
-    kernels actually buy.
 ``sharded_pipeline``
     The sharded driver (:func:`repro.shard.run_sharded`) on the
     ``cbr_flat`` scenario at 1/2/4 shards, full collection pipeline
@@ -46,10 +39,6 @@ The scenarios target the hot paths this repo optimises:
     cost(1)/cost(N) is the scale-out speedup, which is only > 1 when the
     machine has spare cores — per-point regression tracking is what the
     gate checks, the speedup itself is a property of the host.
-
-``batch_pipeline`` is *chunk-aware*: it accepts an optional ``chunk``
-override (``repro bench --chunk N``) replacing the default sweep with the
-baseline chunks plus the requested one.
 """
 
 from time import perf_counter_ns
@@ -57,7 +46,7 @@ from time import perf_counter_ns
 from repro.bench.harness import BenchPoint, best_of
 from repro.core.packet import Packet
 
-__all__ = ["SCENARIOS", "CHUNK_AWARE", "run_scenarios", "zoo_registry"]
+__all__ = ["SCENARIOS", "run_scenarios", "zoo_registry"]
 
 _LENGTH = 8000.0   # bits; one 1000-byte packet
 _RATE = 1e9        # bps
@@ -150,35 +139,6 @@ def churn_cost(build, packets):
     for _ in range(packets):
         rec = dequeue()
         enqueue(Packet(rec.flow_id, _LENGTH), now=rec.finish_time)
-    return (perf_counter_ns() - t0) / packets
-
-
-def batch_churn_cost(build, packets, chunk):
-    """ns/packet of saturated churn driven through the batch APIs.
-
-    Same steady state as :func:`churn_cost`, but the timed loop moves
-    ``chunk`` packets per call: ``dequeue_batch(chunk)`` then one
-    ``enqueue_batch`` re-filling the served flows at the last finish
-    time.  The prefill scales with the chunk so the backlog never dips
-    below one full chunk; at ``chunk=1`` the prefill matches
-    :func:`churn_cost` exactly, making that point the apples-to-apples
-    batch-overhead measurement.
-    """
-    sched = build()
-    flow_ids = sched.flow_ids
-    prefill = max(2, (2 * chunk) // len(flow_ids))
-    for fid in flow_ids:
-        for _ in range(prefill):
-            sched.enqueue(Packet(fid, _LENGTH), now=0.0)
-    dequeue_batch = sched.dequeue_batch
-    enqueue_batch = sched.enqueue_batch
-    remaining = packets
-    t0 = perf_counter_ns()
-    while remaining > 0:
-        records = dequeue_batch(chunk if chunk <= remaining else remaining)
-        remaining -= len(records)
-        now = records[-1].finish_time
-        enqueue_batch([Packet(r.flow_id, _LENGTH) for r in records], now=now)
     return (perf_counter_ns() - t0) / packets
 
 
@@ -350,45 +310,6 @@ def scenario_sim_pipeline(quick):
     return points
 
 
-def scenario_batch_pipeline(quick, chunk=None):
-    """Chunk-at-a-time churn through the batch scheduling kernels.
-
-    ``chunk=0`` is the plain per-packet driver (no batch API at all) and
-    ``chunk=1`` the batch API moving one packet per call — those two
-    must stay within noise of each other, pinning the batch-path
-    overhead at zero.  ``chunk=64/512`` measure the amortised kernels
-    (hoisted lookups, one heap re-establishment per chunk).  An explicit
-    ``chunk`` replaces the 64/512 sweep with that one size.
-    """
-    from repro.core import FIFOScheduler, HPFQScheduler, WF2QPlusScheduler
-
-    packets = 3072 if quick else 24576
-    repeats = 3
-    chunks = ((0, 1, 64, 512) if not isinstance(chunk, int)
-              else tuple(dict.fromkeys((0, 1, chunk))))
-    builders = {
-        "FIFO": lambda: _flat(FIFOScheduler, 64),
-        "WF2Q+": lambda: _flat(WF2QPlusScheduler, 64),
-        "H-WF2Q+": lambda: HPFQScheduler(
-            _balanced_tree(2, 8), _RATE, policy="wf2qplus"),
-    }
-    points = []
-    for name, build in builders.items():
-        for chunk in chunks:
-            if chunk == 0:
-                cost = best_of(
-                    lambda build=build: churn_cost(build, packets), repeats)
-            else:
-                cost = best_of(
-                    lambda build=build, chunk=chunk: batch_churn_cost(
-                        build, packets, chunk),
-                    repeats)
-            points.append(BenchPoint(
-                "batch_pipeline", name, {"chunk": chunk, "flows": 64},
-                packets, cost))
-    return points
-
-
 def scenario_sharded_pipeline(quick):
     """Sharded scale-out driver, measured end to end (pool included).
 
@@ -441,20 +362,12 @@ SCENARIOS = {
     "hierarchy": scenario_hierarchy,
     "zoo": scenario_zoo,
     "sim_pipeline": scenario_sim_pipeline,
-    "batch_pipeline": scenario_batch_pipeline,
     "sharded_pipeline": scenario_sharded_pipeline,
 }
 
-#: Scenarios whose point sweep honours the ``chunk`` override.
-CHUNK_AWARE = ("batch_pipeline",)
 
-
-def run_scenarios(names=None, quick=False, progress=None, chunk=None):
-    """Run the named scenarios (all by default); return the points.
-
-    ``chunk`` (an int) overrides the chunk sweep of the
-    :data:`CHUNK_AWARE` scenarios; other scenarios ignore it.
-    """
+def run_scenarios(names=None, quick=False, progress=None):
+    """Run the named scenarios (all by default); return the points."""
     if names is None:
         names = list(SCENARIOS)
     unknown = [n for n in names if n not in SCENARIOS]
@@ -465,8 +378,5 @@ def run_scenarios(names=None, quick=False, progress=None, chunk=None):
     for name in names:
         if progress is not None:
             progress(name)
-        if name in CHUNK_AWARE:
-            points.extend(SCENARIOS[name](quick, chunk=chunk))
-        else:
-            points.extend(SCENARIOS[name](quick))
+        points.extend(SCENARIOS[name](quick))
     return points

@@ -107,6 +107,14 @@ def _positive_int(text):
     return value
 
 
+def _positive_float(text):
+    value = float(text)
+    if not 0 < value < float("inf"):  # also False for NaN
+        raise argparse.ArgumentTypeError(
+            f"must be a finite number > 0, got {text}")
+    return value
+
+
 def _cmd_stats(args):
     from repro.core.packet import Packet
     from repro.obs import (
@@ -332,11 +340,10 @@ def _cmd_bench(args):
         if args.jobs > 1:
             points = run_scenarios_parallel(
                 names=names, quick=args.quick, jobs=args.jobs,
-                chunk=args.chunk,
                 progress=lambda name: print(f"finished {name} ..."))
         else:
             points = run_scenarios(
-                names=names, quick=args.quick, chunk=args.chunk,
+                names=names, quick=args.quick,
                 progress=lambda name: print(f"running {name} ..."))
     except ValueError as exc:
         print(f"repro bench: {exc}")
@@ -379,8 +386,7 @@ def _cmd_bench(args):
                 print(f"\npossible regression; re-measuring {retry} "
                       "to rule out timer noise ...")
                 points = merge_best(
-                    points, run_scenarios(names=retry, quick=args.quick,
-                                          chunk=args.chunk))
+                    points, run_scenarios(names=retry, quick=args.quick))
                 if args.output:
                     payload = save(points, args.output)
                 else:
@@ -567,7 +573,7 @@ def build_parser():
     p_delay.add_argument("--scenario", type=int, choices=(1, 2, 3), default=1)
     p_delay.add_argument("--policy", default="wf2qplus",
                          choices=("wf2qplus", "wfq", "scfq", "sfq"))
-    p_delay.add_argument("--duration", type=float, default=6.0)
+    p_delay.add_argument("--duration", type=_positive_float, default=6.0)
     p_delay.add_argument("--seed", type=int, default=1)
     p_delay.add_argument("--series", action="store_true",
                          help="also print the per-packet delay series")
@@ -576,7 +582,7 @@ def build_parser():
     p_ls = sub.add_parser("linksharing", help="run the Figure 9 experiment")
     p_ls.add_argument("--policy", default="wf2qplus",
                       choices=("wf2qplus", "wfq", "scfq", "sfq"))
-    p_ls.add_argument("--duration", type=float, default=10.0)
+    p_ls.add_argument("--duration", type=_positive_float, default=10.0)
     p_ls.set_defaults(func=_cmd_linksharing)
 
     sub.add_parser("bounds", help="print the closed-form bounds"
@@ -590,9 +596,9 @@ def build_parser():
     p_stats.add_argument("--flows", type=_positive_int, default=64)
     p_stats.add_argument("--packets", type=_positive_int, default=20000,
                          help="churned packets after the warm-up fill")
-    p_stats.add_argument("--length", type=float, default=8000.0,
+    p_stats.add_argument("--length", type=_positive_float, default=8000.0,
                          help="packet length in bits")
-    p_stats.add_argument("--rate", type=float, default=1e9,
+    p_stats.add_argument("--rate", type=_positive_float, default=1e9,
                          help="link rate in bits per second")
     p_stats.add_argument("--trace", metavar="OUT.JSONL", default=None,
                          help="write the full event stream as JSON lines")
@@ -616,9 +622,9 @@ def build_parser():
     p_sim.add_argument("--flows", type=_positive_int, default=None)
     p_sim.add_argument("--cells", type=_positive_int, default=None,
                        help="independent cells to split the scenario into")
-    p_sim.add_argument("--duration", type=float, default=None,
+    p_sim.add_argument("--duration", type=_positive_float, default=None,
                        help="simulated seconds (scenario default if unset)")
-    p_sim.add_argument("--rate", type=float, default=None,
+    p_sim.add_argument("--rate", type=_positive_float, default=None,
                        help="per-cell link rate in bits per second")
     p_sim.add_argument("--seed", type=int, default=1)
     from repro.shard.driver import DEFAULT_MAX_RETRIES
@@ -644,24 +650,25 @@ def build_parser():
         help="run a cell as a crash-tolerant long-lived service with "
              "checkpoints, recovery, and the kill/recover soak gate")
     p_serve.add_argument("--flows", type=_positive_int, default=32)
-    p_serve.add_argument("--duration", type=float, default=2.0,
+    p_serve.add_argument("--duration", type=_positive_float, default=2.0,
                          help="simulated seconds to serve this invocation")
-    p_serve.add_argument("--rate", type=float, default=1e6,
+    p_serve.add_argument("--rate", type=_positive_float, default=1e6,
                          help="link rate in bits per second")
     p_serve.add_argument("--seed", type=int, default=1)
     p_serve.add_argument("--checkpoint-dir", metavar="DIR", default=None,
                          help="durable checkpoint directory (enables the "
                               "supervisor); omit for in-memory only")
-    p_serve.add_argument("--checkpoint-every", type=float, default=None,
-                         metavar="T",
+    p_serve.add_argument("--checkpoint-every", type=_positive_float,
+                         default=None, metavar="T",
                          help="checkpoint cadence in simulated seconds")
     p_serve.add_argument("--recover", action="store_true",
                          help="resume from the newest verifiable checkpoint "
                               "in --checkpoint-dir instead of starting fresh")
-    p_serve.add_argument("--idle-ttl", type=float, default=None, metavar="T",
+    p_serve.add_argument("--idle-ttl", type=_positive_float, default=None,
+                         metavar="T",
                          help="evict per-flow state idle longer than T "
                               "simulated seconds (service order unchanged)")
-    p_serve.add_argument("--stall-wall", type=float, default=None,
+    p_serve.add_argument("--stall-wall", type=_positive_float, default=None,
                          metavar="S",
                          help="watchdog: fail if simulated time stalls for "
                               "S wall seconds")
@@ -698,10 +705,6 @@ def build_parser():
                          metavar="NAME=FRAC", default=None,
                          help="override the threshold for one scenario "
                               "(repeatable), e.g. sharded_pipeline=0.6")
-    p_bench.add_argument("--chunk", type=_positive_int, default=None,
-                         metavar="N",
-                         help="override the chunk sweep of the "
-                              "batch_pipeline scenario")
     p_bench.add_argument("--jobs", type=_positive_int, default=1,
                          metavar="N",
                          help="run scenarios across N worker processes "
@@ -726,12 +729,12 @@ def build_parser():
                               "default: wf2qplus and hwf2qplus")
     p_chaos.add_argument("--seed", type=int, default=1,
                          help="seed for traffic and the fault plan")
-    p_chaos.add_argument("--duration", type=float, default=2.0,
+    p_chaos.add_argument("--duration", type=_positive_float, default=2.0,
                          help="traffic window in seconds")
     p_chaos.add_argument("--flows", type=_positive_int, default=8)
-    p_chaos.add_argument("--rate", type=float, default=1e6,
+    p_chaos.add_argument("--rate", type=_positive_float, default=1e6,
                          help="link rate in bits per second")
-    p_chaos.add_argument("--load", type=float, default=1.1,
+    p_chaos.add_argument("--load", type=_positive_float, default=1.1,
                          help="offered load as a fraction of link capacity")
     p_chaos.add_argument("--json", metavar="OUT.JSON", default=None,
                          help="also write the results as JSON")

@@ -79,12 +79,7 @@ from functools import partial
 from math import lcm
 
 from repro.config.hierarchy_spec import HierarchySpec, NodeSpec
-from repro.core.scheduler import (
-    BATCH_KERNEL_MIN,
-    PacketScheduler,
-    ScheduledPacket,
-    kernel_sized,
-)
+from repro.core.scheduler import PacketScheduler, ScheduledPacket
 from repro.dstruct.heap import IndexedHeap
 from repro.errors import ConfigurationError, HierarchyError
 from repro.obs.events import NodeRestart, VirtualTimeUpdate
@@ -103,8 +98,6 @@ __all__ = [
     "make_hscfq",
     "make_hsfq",
 ]
-
-_INF = float("inf")
 
 
 def _seconds(value, den):
@@ -1260,100 +1253,22 @@ class HPFQScheduler(PacketScheduler):
         pass
 
     # ------------------------------------------------------------------
-    # Batch operations (amortized chunk kernels)
+    # Batch drain (amortized kernel)
     # ------------------------------------------------------------------
-    def enqueue_batch(self, packets, now=None):
-        if (type(self) is not HPFQScheduler or self._obs is not None
-                or self._buffer_limits or self._shared_limit is not None
-                or not kernel_sized(packets)):
-            return PacketScheduler.enqueue_batch(self, packets, now)
-        # A packet arriving at a leaf whose logical head is committed
-        # needs only the FIFO append (ARRIVE early-returns); everything
-        # else — a new head, the pending RESET-PATH, odd lengths/times —
-        # flushes the hoisted counters and takes the exact per-packet
-        # path.  At most one RESET-PATH can trigger per batch (no
-        # dequeues happen in between), so the in-flight test degenerates
-        # to a None check after the first packet.
-        flows = self._flows
-        nodes = self._nodes
-        backlogged = self._backlogged
-        clock = self._clock
-        backlog = self._backlog_packets
-        backlog_bits = self._backlog_bits
-        arrivals = enqueues = 0
-        accepted = 0
-        enqueue = self.enqueue
-        for packet in packets:
-            t = packet.arrival_time if now is None else now
-            if t is None:
-                t = clock
-            if self._in_flight is not None and t >= self._free_at:
-                # RESET-PATH's drained branch reads _backlog_packets.
-                self._backlog_packets = backlog
-                self._complete_transmission()
-            state = flows.get(packet.flow_id)
-            length = packet.length
-            if (state is None or t < clock
-                    or nodes[packet.flow_id].head is None
-                    or (length <= 0 if type(length) is int
-                        else type(length) is not float
-                        or not 0.0 < length < _INF)):
-                self._clock = clock
-                self._arrivals += arrivals
-                self._enqueues += enqueues
-                self._backlog_packets = backlog
-                self._backlog_bits = backlog_bits
-                arrivals = enqueues = 0
-                if enqueue(packet, t):
-                    accepted += 1
-                clock = self._clock
-                backlog = self._backlog_packets
-                backlog_bits = self._backlog_bits
-                continue
-            if packet.arrival_time is None:
-                packet.arrival_time = t
-            clock = t
-            arrivals += 1
-            queue = state.queue
-            if not queue:
-                # The leaf's last packet is still in flight (RESET-PATH is
-                # lazy), so its committed head masks an empty FIFO; the
-                # flow re-enters the backlogged index here.
-                backlogged[packet.flow_id] = True
-            queue.append(packet)
-            state.bits_queued += length
-            backlog += 1
-            backlog_bits += length
-            enqueues += 1
-            accepted += 1
-        self._clock = clock
-        self._arrivals += arrivals
-        self._enqueues += enqueues
-        self._backlog_packets = backlog
-        self._backlog_bits = backlog_bits
-        self._count_batch(accepted)
-        return accepted
-
-    def dequeue_batch(self, n, now=None):
-        if (type(self) is HPFQScheduler and self._obs is None
-                and n >= BATCH_KERNEL_MIN):
-            return self._dequeue_chunk(n, None, now, [])
-        return PacketScheduler.dequeue_batch(self, n, now)
-
     def drain_until(self, limit, now=None, into=None):
-        if type(self) is HPFQScheduler and self._obs is None:
-            return self._dequeue_chunk(
-                None, limit, now, [] if into is None else into)
-        return PacketScheduler.drain_until(self, limit, now, into)
+        """Amortized :meth:`PacketScheduler.drain_until`: base bookkeeping
+        and the select/record/service accrual inlined; the tree walks
+        themselves stay in the iterative RESET-PATH / RESTART kernels.
 
-    def _dequeue_chunk(self, n, limit, now, records):
-        """Amortized dequeue: base bookkeeping and the select/record/
-        service accrual inlined; the tree walks themselves stay in the
-        iterative RESET-PATH / RESTART kernels.  Shared contract as
-        :meth:`repro.core.wf2qplus.WF2QPlusScheduler._dequeue_chunk`.
+        Packet-for-packet identical to repeated :meth:`dequeue` calls.
+        Only this exact class runs it, and only with no observer; anything
+        else takes the base loop.
         """
+        if type(self) is not HPFQScheduler or self._obs is not None:
+            return PacketScheduler.drain_until(self, limit, now, into)
+        records = [] if into is None else into
         backlog = self._backlog_packets
-        if backlog == 0 or (n is not None and n <= 0):
+        if backlog == 0:
             self._count_batch(0)
             return records
         clock = self._clock
@@ -1363,8 +1278,6 @@ class HPFQScheduler(PacketScheduler):
             raise ValueError(
                 f"dequeue time {now!r} precedes scheduler clock {clock!r}"
             )
-        if n is None:
-            n = backlog
         flows = self._flows
         nodes = self._nodes
         backlogged = self._backlogged
@@ -1375,7 +1288,7 @@ class HPFQScheduler(PacketScheduler):
         append = records.append
         count = 0
         try:
-            while count < n and backlog:
+            while backlog:
                 if self._in_flight is not None:
                     # RESET-PATH's drained branch reads _backlog_packets.
                     self._backlog_packets = backlog

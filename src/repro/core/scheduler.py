@@ -27,13 +27,13 @@ Batch operations
 ----------------
 :meth:`PacketScheduler.enqueue_batch`, :meth:`PacketScheduler.dequeue_batch`
 and :meth:`PacketScheduler.drain_until` process a *chunk* of packets per
-call.  The base implementations loop over the per-packet operations, so
-every scheduler inherits correct batch semantics; the hot schedulers (FIFO,
-WF2Q+, SFQ/SCFQ, flattened H-WF2Q+) override them with amortized kernels
-that hoist attribute lookups and skip per-packet hook dispatch while
-producing packet-for-packet identical results (``tests/test_batch.py``).
-Batch calls feed the ``batch_stats()`` counters either way, so the batched
-fraction of a run is observable.
+call by looping over the per-packet operations, so every scheduler has
+correct batch semantics.  Only ``drain_until``, the call the Link's burst
+drain makes, has amortized kernels: the exact WF2Q+ and flattened H-WF2Q+
+schedulers override it with a loop that hoists attribute lookups and
+skips per-packet hook dispatch while producing packet-for-packet identical
+results (``tests/test_batch.py``).  Batch calls feed the ``batch_stats()``
+counters, so the batched fraction of a run is observable.
 """
 
 import numbers
@@ -50,8 +50,7 @@ from repro.errors import (
 from repro.obs.events import DequeueEvent, DropEvent, EnqueueEvent, EventBus
 
 __all__ = ["PacketScheduler", "ScheduledPacket", "FlowState",
-           "DROP_TAIL", "DROP_FRONT", "DROP_LONGEST", "BATCH_BUCKETS",
-           "BATCH_KERNEL_MIN"]
+           "DROP_TAIL", "DROP_FRONT", "DROP_LONGEST", "BATCH_BUCKETS"]
 
 _INF = float("inf")
 
@@ -75,21 +74,6 @@ def _bucket(n):
     if n >= 8:
         return 2
     return 1 if n >= 2 else 0
-
-#: Chunks smaller than this bypass the amortized kernels and take the
-#: per-packet loop: the kernels pay a fixed hoist/write-back setup cost
-#: that only amortizes across the chunk, so below this size the plain
-#: loop is faster (and results are identical either way).
-BATCH_KERNEL_MIN = 8
-
-
-def kernel_sized(chunk):
-    """True when ``chunk`` is big enough for the amortized enqueue
-    kernels; unsized iterables get the benefit of the doubt."""
-    try:
-        return len(chunk) >= BATCH_KERNEL_MIN
-    except TypeError:
-        return True
 
 
 class ScheduledPacket:
@@ -582,14 +566,6 @@ class PacketScheduler:
     # ------------------------------------------------------------------
     # Main operations
     # ------------------------------------------------------------------
-    @property
-    def lossless(self):
-        """True while no buffer cap is configured: every enqueue is
-        accepted, so callers batching arrivals (the link's
-        :meth:`~repro.sim.link.Link.send_batch`) need no per-packet
-        accept/reject bookkeeping."""
-        return not self._buffer_limits and self._shared_limit is None
-
     def set_buffer_limit(self, flow_id, packets, policy=DROP_TAIL):
         """Cap a flow's queue at ``packets``; ``None`` removes the cap.
 
@@ -816,9 +792,7 @@ class PacketScheduler:
         state = self._flows.get(flow_id)
         if state is None:
             # Evicted flows resurrect on arrival (raises UnknownFlowError
-            # for flows that were never registered).  The batch kernels
-            # fall back to this per-packet path for any unknown flow, so
-            # revival is inherited everywhere at zero hot-path cost.
+            # for flows that were never registered).
             state = self._revive(flow_id)
         length = packet.length
         # Inline fast path for the common length types; anything unusual
@@ -963,19 +937,14 @@ class PacketScheduler:
         and (with an observer attached) the same per-packet events fire.
         When ``now`` is given it is used for *every* packet (a same-instant
         burst); otherwise each packet's ``arrival_time`` drives the clock
-        as usual.  Subclasses with amortized chunk kernels override this;
-        the base implementation loops.
+        as usual.
         """
         enqueue = self.enqueue
         accepted = 0
         for packet in packets:
             if enqueue(packet, now):
                 accepted += 1
-        # _count_batch inlined: this loop is also the chunk-of-1 path the
-        # Link takes per packet, so its fixed cost stays minimal.
-        self._batch_calls += 1
-        self._batch_packets += accepted
-        self._batch_hist[_bucket(accepted)] += 1
+        self._count_batch(accepted)
         return accepted
 
     def dequeue_batch(self, n, now=None):
@@ -990,20 +959,12 @@ class PacketScheduler:
         """
         records = []
         if n > 0 and self._backlog_packets:
-            if n == 1:
-                records.append(self.dequeue(now))
-            else:
-                append = records.append
-                dequeue = self.dequeue
-                append(dequeue(now))
-                n -= 1
-                while n > 0 and self._backlog_packets:
-                    append(dequeue())
-                    n -= 1
-        self._batch_calls += 1
-        m = len(records)
-        self._batch_packets += m
-        self._batch_hist[_bucket(m)] += 1
+            append = records.append
+            dequeue = self.dequeue
+            append(dequeue(now))
+            while len(records) < n and self._backlog_packets:
+                append(dequeue())
+        self._count_batch(len(records))
         return records
 
     def drain_until(self, limit, now=None, into=None):
@@ -1018,7 +979,8 @@ class PacketScheduler:
         schedules its completion as a real event).  ``limit=None`` drains
         everything.  ``into`` optionally names the output list (appended
         in service order even if a dequeue raises mid-chunk, so callers
-        can account for partially drained work).
+        can account for partially drained work).  The exact WF2Q+ and
+        H-PFQ schedulers override this loop with amortized kernels.
         """
         records = [] if into is None else into
         if self._backlog_packets:
@@ -1040,70 +1002,6 @@ class PacketScheduler:
         else:
             self._count_batch(0)
         return records
-
-    def _enqueue_batch_passive(self, packets, now=None):
-        """Amortized enqueue loop for schedulers whose ``_on_enqueue`` does
-        nothing unless the flow queue was empty.
-
-        The contract: the caller (a WF2Q+/SFQ/SCFQ-style override) has
-        verified there is no observer, no buffer caps, and that the
-        subclass's ``_on_enqueue`` is a no-op for a packet joining a
-        non-empty queue.  Under it, the only per-packet work left is
-        validation, the queue append and counter bookkeeping — all done on
-        hoisted locals here.  Any packet that needs the full machinery
-        (empty flow queue, idle system, exotic length/arrival time,
-        unknown flow) flushes the hoisted counters and takes the exact
-        per-packet :meth:`enqueue`, so edge semantics are inherited, not
-        re-implemented.
-        """
-        flows = self._flows
-        clock = self._clock
-        backlog = self._backlog_packets
-        backlog_bits = self._backlog_bits
-        arrivals = enqueues = 0
-        accepted = 0
-        enqueue = self.enqueue
-        for packet in packets:
-            t = packet.arrival_time if now is None else now
-            if t is None:
-                t = clock
-            state = flows.get(packet.flow_id)
-            length = packet.length
-            if (state is None or not state.queue or t < clock
-                    or (length <= 0 if type(length) is int
-                        else type(length) is not float
-                        or not 0.0 < length < _INF)):
-                # Flush the hoisted counters so the per-packet path (and
-                # its error paths) sees and leaves consistent state.
-                self._clock = clock
-                self._arrivals += arrivals
-                self._enqueues += enqueues
-                self._backlog_packets = backlog
-                self._backlog_bits = backlog_bits
-                arrivals = enqueues = 0
-                if enqueue(packet, t):
-                    accepted += 1
-                clock = self._clock
-                backlog = self._backlog_packets
-                backlog_bits = self._backlog_bits
-                continue
-            if packet.arrival_time is None:
-                packet.arrival_time = t
-            clock = t
-            arrivals += 1
-            state.queue.append(packet)
-            state.bits_queued += length
-            backlog += 1
-            backlog_bits += length
-            enqueues += 1
-            accepted += 1
-        self._clock = clock
-        self._arrivals += arrivals
-        self._enqueues += enqueues
-        self._backlog_packets = backlog
-        self._backlog_bits = backlog_bits
-        self._count_batch(accepted)
-        return accepted
 
     # ------------------------------------------------------------------
     # Checkpoint / restore

@@ -17,12 +17,7 @@ Tags (per flow, updated at head of queue):
 Policy: smallest *start* tag first; V = start tag of packet entering service.
 """
 
-from repro.core.scheduler import (
-    BATCH_KERNEL_MIN,
-    PacketScheduler,
-    ScheduledPacket,
-    kernel_sized,
-)
+from repro.core.scheduler import PacketScheduler, ScheduledPacket
 from repro.dstruct.heap import IndexedHeap
 
 __all__ = ["SFQScheduler"]
@@ -100,106 +95,6 @@ class SFQScheduler(PacketScheduler):
 
     def system_virtual_time(self, now=None):
         return self._virtual
-
-    # ------------------------------------------------------------------
-    # Batch operations (amortized chunk kernels)
-    # ------------------------------------------------------------------
-    def enqueue_batch(self, packets, now=None):
-        # _on_enqueue is a no-op for a packet joining a non-empty queue,
-        # which is exactly the passive kernel's contract.
-        if (self._obs is None and not self._buffer_limits
-                and self._shared_limit is None
-                and type(self)._on_enqueue is SFQScheduler._on_enqueue
-                and kernel_sized(packets)):
-            return self._enqueue_batch_passive(packets, now)
-        return PacketScheduler.enqueue_batch(self, packets, now)
-
-    def dequeue_batch(self, n, now=None):
-        if (type(self) is SFQScheduler and self._obs is None
-                and n >= BATCH_KERNEL_MIN):
-            return self._dequeue_chunk(n, None, now, [])
-        return PacketScheduler.dequeue_batch(self, n, now)
-
-    def drain_until(self, limit, now=None, into=None):
-        if type(self) is SFQScheduler and self._obs is None:
-            return self._dequeue_chunk(
-                None, limit, now, [] if into is None else into)
-        return PacketScheduler.drain_until(self, limit, now, into)
-
-    def _dequeue_chunk(self, n, limit, now, records):
-        """Amortized dequeue: smallest-start selection and the single-sift
-        re-key inlined per packet; see
-        :meth:`repro.core.wf2qplus.WF2QPlusScheduler._dequeue_chunk` for
-        the shared contract.
-        """
-        backlog = self._backlog_packets
-        if backlog == 0 or (n is not None and n <= 0):
-            self._count_batch(0)
-            return records
-        clock = self._clock
-        if now is None:
-            now = clock if clock > self._free_at else self._free_at
-        elif now < clock:
-            raise ValueError(
-                f"dequeue time {now!r} precedes scheduler clock {clock!r}"
-            )
-        if n is None:
-            n = backlog
-        flows = self._flows
-        backlogged = self._backlogged
-        rate = self._rate
-        total_share = self._total_share
-        gen = self._share_gen
-        heads = self._heads
-        hent = heads.entries
-        replace_top = heads.replace_top
-        virtual = self._virtual
-        backlog_bits = self._backlog_bits
-        append = records.append
-        count = 0
-        try:
-            while count < n and backlog:
-                flow_id = hent[0][2]
-                state = flows[flow_id]
-                queue = state.queue
-                packet = queue.popleft()
-                length = packet.length
-                state.bits_queued -= length
-                backlog -= 1
-                backlog_bits -= length
-                finish = now + length / rate
-                start_tag = state.start_tag
-                finish_tag = state.finish_tag
-                append(ScheduledPacket(packet, now, finish,
-                                       start_tag, finish_tag))
-                virtual = start_tag  # V = start tag of packet in service
-                if queue:
-                    start = finish_tag  # Q != 0: S = F
-                    state.start_tag = start
-                    if state.rate_gen != gen:
-                        state.inv_rate = 1 / (
-                            state.config.share / total_share * rate
-                        )
-                        state.rate_gen = gen
-                    state.finish_tag = start + queue[0].length * state.inv_rate
-                    replace_top(flow_id, (start, state.index))
-                else:
-                    heads.pop()
-                    del backlogged[flow_id]
-                count += 1
-                clock = now
-                now = finish
-                if limit is not None and finish >= limit:
-                    break
-        finally:
-            self._clock = clock
-            self._free_at = now if count else self._free_at
-            self._virtual = virtual
-            self._backlog_packets = backlog
-            self._backlog_bits = backlog_bits
-            self._dequeues += count
-            self._count_batch(count)
-        return records
 
     # ------------------------------------------------------------------
     # Robustness hooks (reconfiguration / eviction / checkpoint)

@@ -48,12 +48,7 @@ DESIGN.md "Hot-path architecture" and ``tests/test_equivalence_optimized``):
   push pairs.
 """
 
-from repro.core.scheduler import (
-    BATCH_KERNEL_MIN,
-    PacketScheduler,
-    ScheduledPacket,
-    kernel_sized,
-)
+from repro.core.scheduler import PacketScheduler, ScheduledPacket
 from repro.dstruct.heap import IndexedHeap
 from repro.obs.events import VirtualTimeUpdate
 
@@ -234,47 +229,25 @@ class WF2QPlusScheduler(PacketScheduler):
         pass
 
     # ------------------------------------------------------------------
-    # Batch operations (amortized chunk kernels)
+    # Batch drain (amortized kernel)
     # ------------------------------------------------------------------
-    def enqueue_batch(self, packets, now=None):
-        # The passive kernel's contract holds because _on_enqueue does
-        # nothing for a packet joining a non-empty queue; the method-
-        # identity check keeps a subclass overriding _on_enqueue honest
-        # while letting the ablation variants (which only change
-        # selection) inherit the fast path.
-        if (self._obs is None and not self._buffer_limits
-                and self._shared_limit is None
-                and type(self)._on_enqueue is WF2QPlusScheduler._on_enqueue
-                and kernel_sized(packets)):
-            return self._enqueue_batch_passive(packets, now)
-        return PacketScheduler.enqueue_batch(self, packets, now)
-
-    def dequeue_batch(self, n, now=None):
-        if (type(self) is WF2QPlusScheduler and self._obs is None
-                and n >= BATCH_KERNEL_MIN):
-            return self._dequeue_chunk(n, None, now, [])
-        return PacketScheduler.dequeue_batch(self, n, now)
-
     def drain_until(self, limit, now=None, into=None):
-        if type(self) is WF2QPlusScheduler and self._obs is None:
-            return self._dequeue_chunk(
-                None, limit, now, [] if into is None else into)
-        return PacketScheduler.drain_until(self, limit, now, into)
-
-    def _dequeue_chunk(self, n, limit, now, records):
-        """Amortized dequeue loop: hoisted heaps/counters, inline eq. (27)
-        advance and single-sift re-keying, zero per-packet dispatch.
+        """Amortized :meth:`PacketScheduler.drain_until`: hoisted
+        heaps/counters, inline eq. (27) advance and single-sift re-keying,
+        zero per-packet dispatch.
 
         Packet-for-packet identical to repeated :meth:`dequeue` calls (the
         arithmetic is the same expression sequence on the same operands —
-        exact under ``Fraction``); callers gate on exact type and no
-        observer, so no hook or event site is bypassed.  ``n=None`` means
-        unbounded; ``limit`` follows :meth:`PacketScheduler.drain_until`
-        (the crossing packet is included).  Appends into ``records`` as it
+        exact under ``Fraction``).  Only this exact class runs it, and only
+        with no observer, so no hook or event site is bypassed; anything
+        else takes the base loop.  Appends into the records list as it
         goes so partially drained work survives an exception.
         """
+        if type(self) is not WF2QPlusScheduler or self._obs is not None:
+            return PacketScheduler.drain_until(self, limit, now, into)
+        records = [] if into is None else into
         backlog = self._backlog_packets
-        if backlog == 0 or (n is not None and n <= 0):
+        if backlog == 0:
             self._count_batch(0)
             return records
         clock = self._clock
@@ -284,8 +257,6 @@ class WF2QPlusScheduler(PacketScheduler):
             raise ValueError(
                 f"dequeue time {now!r} precedes scheduler clock {clock!r}"
             )
-        if n is None:
-            n = backlog
         flows = self._flows
         backlogged = self._backlogged
         rate = self._rate
@@ -305,7 +276,7 @@ class WF2QPlusScheduler(PacketScheduler):
         count = 0
         start_tag = finish_tag = None
         try:
-            while count < n and backlog:
+            while backlog:
                 # eq. (27): V = max(V + tau, min S_i), floored at selection;
                 # min S_i > V only with no eligible flow (_advance_virtual).
                 v = virtual + (now - stamp)

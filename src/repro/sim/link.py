@@ -26,8 +26,12 @@ run inside the drained window, every dequeue happens at exactly the same
 clock value as in the event-per-packet path, and the moment any consumer
 needs event granularity (a receiver, an ``event_hook``, a simultaneous
 event, a ``max_events`` budget, pause, or checkpointing's in-flight finish
-handle) the link falls back to scheduling a real finish event.
-``tests/test_sim_fastpath.py`` proves packet-for-packet equivalence.
+handle) the link falls back to scheduling a real finish event.  The
+drained burst is one
+:meth:`~repro.core.scheduler.PacketScheduler.drain_until` call: an
+amortized kernel on the exact WF2Q+ and H-PFQ schedulers, the base
+per-packet loop on every other one.  ``tests/test_sim_fastpath.py``
+proves packet-for-packet equivalence.
 """
 
 from repro.errors import SimulationError
@@ -168,48 +172,6 @@ class Link:
             self._start_next(now)
         return True
 
-    def send_batch(self, packets):
-        """A chunk of packets arrives at the queueing point *now*.
-
-        Semantically identical to calling :meth:`send` per packet, but the
-        chunk is handed to the scheduler's amortized
-        :meth:`~repro.core.scheduler.PacketScheduler.enqueue_batch` and
-        the arrival trace is appended in bulk.  Falls back to the
-        per-packet loop whenever a packet could be rejected (buffer caps,
-        a drop callback): batching only pays when every packet is
-        accepted, and the drop bookkeeping is per-packet by nature.
-        Returns the number of packets accepted.
-        """
-        scheduler = self.scheduler
-        if self.drop_callback is not None or not scheduler.lossless:
-            accepted = 0
-            for packet in packets:
-                if self.send(packet):
-                    accepted += 1
-            return accepted
-        if not packets:
-            return 0
-        now = self.sim.now
-        trace = self.trace
-        if not self._transmitting and not self._paused:
-            # Per-packet ``send`` semantics: the burst's first packet
-            # starts transmitting *before* the rest is enqueued, so its
-            # selection must not see the later arrivals.
-            head, rest = packets[:1], packets[1:]
-            accepted = scheduler.enqueue_batch(head, now=now)
-            if trace is not None:
-                trace.record_arrivals(head, now)
-            self._start_next(now)
-            if rest:
-                accepted += scheduler.enqueue_batch(rest, now=now)
-                if trace is not None:
-                    trace.record_arrivals(rest, now)
-            return accepted
-        accepted = scheduler.enqueue_batch(packets, now=now)
-        if trace is not None:
-            trace.record_arrivals(packets, now)
-        return accepted
-
     def _start_next(self, now):
         record = self.scheduler.dequeue(now=now)
         self._transmitting = True
@@ -255,8 +217,9 @@ class Link:
 
         With no observer — or only *passive* sinks (see
         :class:`~repro.obs.sinks.Sink`) — the whole burst is handed to
-        the scheduler's amortized
-        :meth:`~repro.core.scheduler.PacketScheduler.drain_until` and the
+        the scheduler's
+        :meth:`~repro.core.scheduler.PacketScheduler.drain_until` (an
+        amortized kernel on the exact WF2Q+ and H-PFQ schedulers) and the
         clock is advanced once over the chunk.  A non-passive sink is
         arbitrary user code that may touch the simulator mid-burst, so it
         keeps the packet-at-a-time loop with a validated

@@ -34,7 +34,7 @@ class ServiceTrace:
         self._arrivals_by_flow[packet.flow_id].append(entry)
 
     def record_arrivals(self, packets, now):
-        """Record a same-instant chunk of arrivals (the batch send path)."""
+        """Record a same-instant chunk of arrivals."""
         arrivals = self.arrivals
         by_flow = self._arrivals_by_flow
         for packet in packets:

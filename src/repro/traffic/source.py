@@ -558,16 +558,9 @@ class TraceSource(Source):
             self.bits_sent += length
             i += 1
         self._next = i
-        if batch:
-            # Same-instant packets go through the link's batch enqueue in
-            # one call; shapers and other link impersonators that only
-            # offer send() get the per-packet loop.
-            send_batch = getattr(self.link, "send_batch", None)
-            if send_batch is not None and len(batch) > 1:
-                send_batch(batch)
-            else:
-                for packet in batch:
-                    self.link.send(packet)
+        send = self.link.send
+        for packet in batch:
+            send(packet)
         if i < n:
             # Keep the handle: snapshot() needs the pending emission time
             # to make the trace stream resumable after a checkpoint.

@@ -7,11 +7,15 @@ Two equivalence claims are pinned here:
   equivalent per-packet call sequence produces: same service order, same
   times, same virtual tags (exact under ``Fraction``), same drop
   ledgers, and the same observer event stream when a bus is attached.
-* **the sim layer batch path is invisible** — ``Link.send_batch`` and
-  the batch burst drain yield the same services and counters as the
-  per-packet stepping path (forced via a non-passive sink), and
-  ``Simulator.advance_over`` enforces the same validation rules as
-  ``advance_to``.
+* **the sim layer batch path is invisible** — the batch burst drain
+  yields the same services and counters as the per-packet stepping path
+  (forced via a non-passive sink), and ``Simulator.advance_over``
+  enforces the same validation rules as ``advance_to``.
+
+The sim-layer section also pins that the burst drain actually runs the
+exact WF2Q+ and H-PFQ ``drain_until`` kernels, so a kernel that silently
+falls back to the per-packet loop fails here instead of only running
+slower.
 """
 
 import random
@@ -28,13 +32,12 @@ from repro.core import (
     WF2QPlusScheduler,
 )
 from repro.core.packet import Packet
-from repro.core.scheduler import BATCH_KERNEL_MIN
 from repro.errors import SimulationError
 from repro.obs import CallbackSink, RingBufferSink
 from repro.sim.engine import Simulator
 from repro.sim.link import Link
 from repro.sim.monitor import ServiceTrace
-from repro.traffic.source import CBRSource
+from repro.traffic.source import CBRSource, PacketTrainSource
 
 
 def rec_tuple(rec):
@@ -80,8 +83,7 @@ def make_ops(rng, flows=6, steps=60):
     for _ in range(steps):
         r = rng.random()
         if r < 0.5:
-            k = rng.choice((1, 2, 3, BATCH_KERNEL_MIN - 1,
-                            BATCH_KERNEL_MIN, 12, 20, 40))
+            k = rng.choice((1, 2, 3, 7, 8, 12, 20, 40))
             pkts = [(str(rng.randrange(flows)), rng.choice(LENGTHS))
                     for _ in range(k)]
             # Mostly same-instant bursts inside the busy period; the
@@ -89,8 +91,7 @@ def make_ops(rng, flows=6, steps=60):
             gap = rng.choice((0, 0, 0, 0, (1, 1000), (3, 100)))
             ops.append(("enq", gap, pkts))
         elif r < 0.85:
-            ops.append(("deq", rng.choice((1, 2, 5, BATCH_KERNEL_MIN,
-                                           16, 33))))
+            ops.append(("deq", rng.choice((1, 2, 5, 8, 16, 33))))
         else:
             ops.append(("drain", (rng.randrange(1, 50), 1000)))
     return ops
@@ -278,71 +279,9 @@ def test_batch_stats_counters():
     assert hist["1"] == 1 and hist["64-511"] == 1 and hist["8-63"] == 1
 
 
-def test_overridden_on_enqueue_disables_enqueue_kernel():
-    hook_calls = []
-
-    class Hooked(WF2QPlusScheduler):
-        def _on_enqueue(self, state, packet, now, was_flow_empty, was_idle):
-            hook_calls.append(packet.flow_id)
-            super()._on_enqueue(state, packet, now, was_flow_empty, was_idle)
-
-    sched = flat(Hooked, 1e6, flows=2)
-    n = 2 * BATCH_KERNEL_MIN
-    sched.enqueue_batch([Packet(str(i % 2), 1000) for i in range(n)],
-                        now=0.0)
-    assert len(hook_calls) == n  # every packet went through the hook
-
-
-def test_small_chunks_use_per_packet_path():
-    """Below BATCH_KERNEL_MIN the batch APIs are the per-packet loop —
-    same results (pinned above), and the counters still tick."""
-    sched = flat(WF2QPlusScheduler, 1e6)
-    sched.enqueue_batch([Packet("0", 1000)], now=0.0)
-    assert sched.batch_stats()["batch_calls"] == 1
-    assert len(sched.dequeue_batch(1)) == 1
-    assert sched.batch_stats()["batch_calls"] == 2
-
-
 # ----------------------------------------------------------------------
 # sim layer
 # ----------------------------------------------------------------------
-def test_send_batch_matches_per_packet_send():
-    def run(batched):
-        sim = Simulator()
-        sched = flat(WF2QPlusScheduler, 1e6, flows=3)
-        trace = ServiceTrace()
-        link = Link(sim, sched, trace=trace)
-        pkts = lambda: [Packet(str(i % 3), 1000) for i in range(12)]
-        if batched:
-            sim.schedule(0.0, lambda: link.send_batch(pkts()))
-            sim.schedule(0.005, lambda: link.send_batch(pkts()))
-        else:
-            sim.schedule(0.0, lambda: [link.send(p) for p in pkts()])
-            sim.schedule(0.005, lambda: [link.send(p) for p in pkts()])
-        sim.run()
-        return ([rec_tuple(r) for r in trace.services],
-                link.packets_sent, link.bits_sent,
-                [(fid, t, ln) for fid, t, ln in trace.arrivals])
-
-    assert run(batched=True) == run(batched=False)
-
-
-def test_send_batch_falls_back_under_buffer_limits():
-    sim = Simulator()
-    sched = flat(WF2QPlusScheduler, 1e6, flows=2)
-    sched.set_buffer_limit("0", 1)
-    link = Link(sim, sched)
-    dropped = []
-    link.drop_callback = lambda pkt, now: dropped.append(pkt.flow_id)
-    sim.schedule(0.0, lambda: link.send_batch(
-        [Packet("0", 1000) for _ in range(4)]))
-    sim.run()
-    # Per-packet semantics: the first send starts transmitting (leaving
-    # the buffer empty), the second queues, the rest hit the cap.
-    assert link.packets_sent == 2
-    assert dropped == ["0", "0"]
-
-
 def _pipeline(force_steps):
     sim = Simulator()
     sched = flat(WF2QPlusScheduler, 1e6, flows=4)
@@ -376,14 +315,73 @@ def test_batch_drain_respects_run_horizon():
     sched = flat(WF2QPlusScheduler, 1e6, flows=2)
     trace = ServiceTrace()
     link = Link(sim, sched, trace=trace)
-    sim.schedule(0.0, lambda: link.send_batch(
-        [Packet("0", 1000) for _ in range(10)]))
+    sim.schedule(0.0, lambda: [link.send(Packet("0", 1000))
+                               for _ in range(10)])
     sim.run(until=0.0055)
     assert sim.now == 0.0055
     assert all(r.finish_time <= 0.0055 for r in trace.services)
     assert link.packets_sent == 5
     sim.run()
     assert link.packets_sent == 10
+
+
+def _train_dequeues(sched):
+    """Run 4 overloaded packet-train flows through an unobserved Link for
+    1 s; return (dequeue calls, departures).
+
+    Offered load is 128% of the link, so the link starts from idle once
+    and stays backlogged: every later packet leaves through the burst
+    drain's ``drain_until``.  The instance-level wrapper counts every
+    per-packet ``dequeue`` call, including the base drain loop's.
+    """
+    calls = []
+    dequeue = sched.dequeue
+
+    def counted(now=None):
+        calls.append(now)
+        return dequeue(now)
+
+    sched.dequeue = counted
+    sim = Simulator()
+    link = Link(sim, sched)
+    for i in range(4):
+        PacketTrainSource(str(i), 1000, 8, 0.025, 8e6,
+                          start_time=i * 1e-3).attach(sim, link).start()
+    sim.run(until=1.0)
+    return len(calls), sched.conservation()["departures"]
+
+
+def _train_tree(cls):
+    return cls(node("root", 1, [
+        node("left", 1, [leaf("0", 1), leaf("1", 2)]),
+        node("right", 2, [leaf("2", 1), leaf("3", 1)]),
+    ]), 1_000_000, policy="wf2qplus")
+
+
+class _SubWF2QPlus(WF2QPlusScheduler):
+    """Same algorithm; the exact-type gate sends it to the base loop."""
+
+
+class _SubHPFQ(HPFQScheduler):
+    """Same algorithm; the exact-type gate sends it to the base loop."""
+
+
+@pytest.mark.parametrize("exact,subclass,build", [
+    (WF2QPlusScheduler, _SubWF2QPlus,
+     lambda cls: flat(cls, 1_000_000, flows=4)),
+    (HPFQScheduler, _SubHPFQ, _train_tree),
+], ids=["WF2Q+", "H-WF2Q+"])
+def test_burst_drain_runs_the_drain_kernel(exact, subclass, build):
+    calls, departures = _train_dequeues(build(exact))
+    # Only the start from idle dequeues per packet; the kernel serves
+    # every later packet without calling dequeue.
+    assert departures > 900
+    assert calls == 1
+    # The base loop calls dequeue once per departure: this side shows
+    # the wrapper sees the drain whenever the kernel is not engaged.
+    sub_calls, sub_departures = _train_dequeues(build(subclass))
+    assert sub_departures == departures
+    assert sub_calls == sub_departures
 
 
 def test_advance_over_validates_like_advance_to():

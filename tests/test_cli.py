@@ -77,6 +77,53 @@ class TestStatsParser:
             build_parser().parse_args(["stats", "--scheduler", "nope"])
 
 
+class TestFloatOptions:
+    """Float options reject NaN, infinities and values <= 0 at parse time.
+
+    Before the check, each of these hung, raised a traceback or ran as if
+    the value were valid; now argparse names the option and exits 2.
+    """
+
+    @pytest.mark.parametrize("argv", [
+        ["stats", "--length", "0"],
+        ["stats", "--rate", "0"],
+        ["stats", "--pipeline", "--rate", "inf"],
+        ["sim", "--duration", "-1"],
+        ["sim", "--duration", "nan"],
+        ["sim", "--rate", "0"],
+        ["sim", "--rate", "nan"],
+        ["sim", "--rate", "inf"],
+        ["serve", "--duration", "-1"],
+        ["serve", "--rate", "inf"],
+        ["serve", "--rate", "nan"],
+        ["serve", "--checkpoint-every", "0"],
+        ["serve", "--idle-ttl", "-1"],
+        ["serve", "--stall-wall", "-1"],
+        ["chaos", "--duration", "0"],
+        ["chaos", "--scheduler", "wf2qplus", "--rate", "inf"],
+        ["chaos", "--load", "0"],
+        ["delay", "--duration", "-1"],
+        ["delay", "--duration", "inf"],
+        ["linksharing", "--duration", "-1"],
+    ], ids=" ".join)
+    def test_out_of_range_value_exits_2_naming_the_option(self, argv,
+                                                          capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert argv[-2] in err
+        assert "Traceback" not in err
+
+    def test_finite_positive_values_parse(self):
+        args = build_parser().parse_args(
+            ["serve", "--duration", "0.5", "--rate", "2e6",
+             "--checkpoint-every", "0.05", "--idle-ttl", "1",
+             "--stall-wall", "30"])
+        assert (args.duration, args.rate, args.checkpoint_every,
+                args.idle_ttl, args.stall_wall) == (0.5, 2e6, 0.05, 1.0, 30.0)
+
+
 class TestStats:
     def test_stats_with_check_and_trace(self, capsys, tmp_path):
         from repro.obs.sinks import read_jsonl
