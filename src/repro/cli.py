@@ -107,6 +107,13 @@ def _positive_int(text):
     return value
 
 
+def _nonnegative_int(text):
+    value = int(text)
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"must be >= 0, got {value}")
+    return value
+
+
 def _positive_float(text):
     value = float(text)
     if not 0 < value < float("inf"):  # also False for NaN
@@ -628,7 +635,8 @@ def build_parser():
                        help="per-cell link rate in bits per second")
     p_sim.add_argument("--seed", type=int, default=1)
     from repro.shard.driver import DEFAULT_MAX_RETRIES
-    p_sim.add_argument("--max-retries", type=int, default=DEFAULT_MAX_RETRIES,
+    p_sim.add_argument("--max-retries", type=_nonnegative_int,
+                       default=DEFAULT_MAX_RETRIES,
                        metavar="N",
                        help="re-run a shard whose worker died up to N extra "
                             "times (exponential backoff) before failing")

@@ -16,7 +16,11 @@ Durable checkpoints
 :func:`save_checkpoint` / :func:`load_checkpoint` persist any *picklable*
 checkpoint payload (the cell-level snapshots ``repro.shard.worker``
 builds, the service-mode state ``repro.serve`` checkpoints) to disk with
-crash-safe atomicity:
+crash-safe atomicity.  Saving is two steps: :func:`encode_checkpoint`
+pickles the payload once, and :func:`write_checkpoint` persists those
+bytes, so a caller that keeps the bytes (``repro.serve``'s rollback
+point, read back with :func:`decode_checkpoint`) serializes each
+checkpoint only once:
 
 * the payload is written to a temp file in the target directory, flushed
   and ``fsync``'d, then moved into place with ``os.replace`` (atomic on
@@ -43,6 +47,9 @@ from repro.errors import CheckpointError
 __all__ = [
     "checkpoint",
     "rollback",
+    "encode_checkpoint",
+    "decode_checkpoint",
+    "write_checkpoint",
     "save_checkpoint",
     "load_checkpoint",
     "CheckpointStore",
@@ -60,8 +67,39 @@ CHECKPOINT_VERSION = 1
 _HEADER = struct.Struct(">4sIQ32s")
 
 
-def save_checkpoint(path, payload):
-    """Atomically persist a picklable ``payload`` to ``path``.
+def encode_checkpoint(payload, path=None):
+    """Pickle ``payload`` into the bytes a checkpoint file carries.
+
+    The one serialization of a checkpoint: :func:`write_checkpoint` and
+    :meth:`CheckpointStore.save` persist these bytes unchanged and
+    :func:`decode_checkpoint` turns them back into a payload, so a
+    caller may also keep them as an in-memory copy frozen at this
+    instant.  ``path`` only names the target in the
+    :class:`~repro.errors.CheckpointError` (reason ``"pickle"``) raised
+    for an unpicklable payload.
+    """
+    try:
+        return pickle.dumps(payload, protocol=pickle.HIGHEST_PROTOCOL)
+    except Exception as exc:
+        raise CheckpointError(path, "pickle",
+                              f"payload is not picklable: {exc}") from exc
+
+
+def decode_checkpoint(blob, path=None):
+    """Unpickle :func:`encode_checkpoint` bytes into a fresh payload.
+
+    Raises :class:`~repro.errors.CheckpointError` (reason
+    ``"unpickle"``) on undecodable bytes; ``path`` names their file.
+    """
+    try:
+        return pickle.loads(blob)
+    except Exception as exc:
+        raise CheckpointError(path, "unpickle",
+                              f"payload failed to unpickle: {exc}") from exc
+
+
+def write_checkpoint(path, blob):
+    """Atomically persist an :func:`encode_checkpoint` ``blob`` to ``path``.
 
     Temp file + fsync + ``os.replace`` + directory fsync: after this
     returns, the checkpoint survives a crash or power loss; if the
@@ -69,11 +107,6 @@ def save_checkpoint(path, payload):
     (or stays absent).  Returns the number of bytes written.
     """
     path = os.fspath(path)
-    try:
-        blob = pickle.dumps(payload, protocol=pickle.HIGHEST_PROTOCOL)
-    except Exception as exc:
-        raise CheckpointError(path, "pickle",
-                              f"payload is not picklable: {exc}") from exc
     header = _HEADER.pack(CHECKPOINT_MAGIC, CHECKPOINT_VERSION, len(blob),
                           hashlib.sha256(blob).digest())
     directory = os.path.dirname(path) or "."
@@ -101,6 +134,16 @@ def save_checkpoint(path, payload):
     finally:
         os.close(dir_fd)
     return len(header) + len(blob)
+
+
+def save_checkpoint(path, payload):
+    """Atomically persist a picklable ``payload`` to ``path``.
+
+    :func:`encode_checkpoint` then :func:`write_checkpoint`; returns the
+    number of bytes written.
+    """
+    path = os.fspath(path)
+    return write_checkpoint(path, encode_checkpoint(payload, path))
 
 
 def load_checkpoint(path):
@@ -141,11 +184,7 @@ def load_checkpoint(path):
                 path, "digest",
                 "payload SHA-256 does not match the header (torn write "
                 "or bit rot)")
-    try:
-        return pickle.loads(blob)
-    except Exception as exc:
-        raise CheckpointError(path, "unpickle",
-                              f"payload failed to unpickle: {exc}") from exc
+    return decode_checkpoint(blob, path)
 
 
 class CheckpointStore:
@@ -187,10 +226,16 @@ class CheckpointStore:
         return os.path.join(self.directory, f"ckpt-{seq:08d}.bin")
 
     def save(self, payload):
-        """Persist ``payload`` as the next checkpoint; returns its path."""
+        """Persist ``payload`` as the next checkpoint; returns its path.
+
+        ``payload`` is a picklable object, or the ``bytes`` that
+        :func:`encode_checkpoint` made of one, written as they are.
+        """
         self._seq += 1
         path = self.path_for(self._seq)
-        save_checkpoint(path, payload)
+        if not isinstance(payload, bytes):
+            payload = encode_checkpoint(payload, path)
+        write_checkpoint(path, payload)
         self._prune()
         return path
 

@@ -14,13 +14,15 @@ Crash tolerance is checkpoint-shaped.  Every ``checkpoint_every``
 simulated seconds the runner persists a self-contained payload — the
 effective spec, the joint link+scheduler snapshot, per-source emission
 snapshots, and the running service digest — through the atomic
-:class:`~repro.faults.checkpoint.CheckpointStore`.  A fresh process (or
-the in-process :class:`~repro.serve.supervisor.Supervisor`) rebuilds from
-the newest verifiable file with :meth:`ServiceRunner.recover`; the
-arrival streams replay bit-identically from their snapshots, so the
-chained service digest of a killed-and-recovered service is
-byte-identical to an uninterrupted run — the property the soak harness
-(:mod:`repro.serve.soak`) and CI pin down.
+:class:`~repro.faults.checkpoint.CheckpointStore`.  Each checkpoint is
+pickled once; the same bytes are the file's payload and the in-memory
+rollback point, so later commands cannot reach back into it.  A fresh
+process (or the in-process :class:`~repro.serve.supervisor.Supervisor`)
+rebuilds from the newest verifiable file with
+:meth:`ServiceRunner.recover`; the arrival streams replay bit-identically
+from their snapshots, so the chained service digest of a
+killed-and-recovered service is byte-identical to an uninterrupted run —
+the property the soak harness (:mod:`repro.serve.soak`) and CI pin down.
 
 Degradation ladder, mildest first:
 
@@ -68,6 +70,12 @@ def _canon(value):
     return repr(value)
 
 
+#: Field types whose ``repr`` is their :func:`_canon` text.  Testing the
+#: exact type skips ``isinstance(value, Fraction)``, which goes through
+#: ``ABCMeta.__instancecheck__``; subclasses still take :func:`_canon`.
+_REPR_TYPES = frozenset((float, int, str))
+
+
 class DigestTrace:
     """A constant-memory ServiceTrace stand-in that folds every completed
     transmission into a chained SHA-256 digest.
@@ -109,12 +117,11 @@ class DigestTrace:
 
     def record_service(self, record):
         packet = record.packet
-        row = "|".join((
-            _canon(packet.flow_id), _canon(packet.seqno),
-            _canon(packet.length), _canon(record.start_time),
-            _canon(record.finish_time), _canon(record.virtual_start),
-            _canon(record.virtual_finish),
-        ))
+        row = "|".join([
+            repr(value) if type(value) in _REPR_TYPES else _canon(value)
+            for value in (packet.flow_id, packet.seqno, packet.length,
+                          record.start_time, record.finish_time,
+                          record.virtual_start, record.virtual_finish)])
         self.digest = hashlib.sha256(
             (self.digest + row).encode()).hexdigest()
         self.rows += 1
@@ -228,7 +235,7 @@ class ServiceRunner:
                 source.start()
             self._arm_faults(after=None)
             self._next_ckpt = checkpoint_every
-            self._last_payload = self._payload()
+            self._freeze(self._payload())
         else:
             self._restore_state(_restore)
 
@@ -304,7 +311,7 @@ class ServiceRunner:
             self._next_ckpt = boundary
         else:
             self._next_ckpt = None
-        self._last_payload = payload
+        self._freeze(payload)
 
     def _arm_faults(self, after):
         """Arm the effective spec's fault plan on the live simulator.
@@ -603,7 +610,7 @@ class ServiceRunner:
             raise ServiceCrash(exc)
         self._incident("quarantine", target=flow,
                        detail=f"[{exc.invariant}] {exc.message}")
-        payload = copy.deepcopy(self._last_payload)
+        payload = self._last_payload
         spec = payload["spec"]
         keep = [i for i, s in enumerate(spec["sources"])
                 if s["flow"] != flow]
@@ -687,9 +694,14 @@ class ServiceRunner:
     # Checkpoints
     # ------------------------------------------------------------------
     def _payload(self):
+        """The live state as a checkpoint payload.
+
+        It holds the live spec by reference: pass it straight to
+        :meth:`_freeze`, whose one pickle is the copy.
+        """
         return {
             "kind": "serve",
-            "spec": copy.deepcopy(self.spec),
+            "spec": self.spec,
             "clock": self.sim.now,
             "link": self.link.snapshot(),
             "sources": [source.snapshot() for source in self.sources],
@@ -704,17 +716,31 @@ class ServiceRunner:
                       "recoveries": self.recoveries},
         }
 
+    def _freeze(self, payload):
+        """Make ``payload`` the rollback point; returns its pickled bytes."""
+        from repro.faults.checkpoint import encode_checkpoint
+
+        self._rollback = encode_checkpoint(payload)
+        return self._rollback
+
+    @property
+    def _last_payload(self):
+        """The rollback point, decoded into a fresh payload dict."""
+        from repro.faults.checkpoint import decode_checkpoint
+
+        return decode_checkpoint(self._rollback)
+
     def checkpoint(self):
         """Capture the service state now; returns the file path (or None).
 
-        Always refreshes the in-memory rollback payload; writes a
-        durable file only when a ``checkpoint_dir`` was given.
+        Always refreshes the in-memory rollback point; writes a durable
+        file only when a ``checkpoint_dir`` was given.  Both are the same
+        bytes, serialized once.
         """
-        payload = self._payload()
-        self._last_payload = payload
+        blob = self._freeze(self._payload())
         path = None
         if self.store is not None:
-            path = self.store.save(payload)
+            path = self.store.save(blob)
         self.checkpoints_written += 1
         return path
 

@@ -142,11 +142,15 @@ def run_sharded(scenario="cbr_flat", shards=1, duration=None, migrate=None,
 
     Worker failures: each shard whose worker dies or raises is retried up
     to ``max_retries`` times (exponential backoff starting at
-    ``retry_backoff`` seconds).  With the budget exhausted, ``strict=True``
-    raises :class:`~repro.errors.WorkerError` naming the failed cells;
-    ``strict=False`` returns the partial report with a ``"failures"``
-    section instead.
+    ``retry_backoff`` seconds); a negative budget raises
+    :class:`~repro.errors.ConfigurationError`.  With the budget
+    exhausted, ``strict=True`` raises :class:`~repro.errors.WorkerError`
+    naming the failed cells; ``strict=False`` returns the partial report
+    with a ``"failures"`` section instead.
     """
+    if max_retries < 0:
+        raise ConfigurationError(
+            f"max_retries must be >= 0, got {max_retries!r}")
     name, duration, cells = _resolve(scenario, duration, params)
     plan = assign_shards(cells, shards)
     rest, migrating = _split_migration(cells, migrate)

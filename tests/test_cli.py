@@ -124,6 +124,25 @@ class TestFloatOptions:
                 args.idle_ttl, args.stall_wall) == (0.5, 2e6, 0.05, 1.0, 30.0)
 
 
+class TestIntOptions:
+    """``sim --max-retries`` rejects a negative retry budget at parse
+    time, naming the option, instead of running as if it were 0."""
+
+    @pytest.mark.parametrize("value", ["-1", "-7"])
+    def test_negative_max_retries_exits_2_naming_the_option(self, value,
+                                                             capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["sim", "--max-retries", value])
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert "--max-retries" in err
+        assert "Traceback" not in err
+
+    def test_zero_max_retries_parses(self):
+        args = build_parser().parse_args(["sim", "--max-retries", "0"])
+        assert args.max_retries == 0
+
+
 class TestStats:
     def test_stats_with_check_and_trace(self, capsys, tmp_path):
         from repro.obs.sinks import read_jsonl

@@ -1,11 +1,15 @@
-"""Batch-kernel engagement guards re-checked on *every* batch call.
+"""Mid-run observers and buffer caps across batch calls.
 
-The amortized kernels of the exact :class:`WF2QPlusScheduler` and
-:class:`HPFQScheduler` bypass the event bus and the buffer-cap
-bookkeeping, so they may only run while neither exists.  These are the
-regression tests for the mid-run cases: an observer or buffer limit set
-*between* batch calls must disengage the kernel from the very next call
-onward, with the served schedule identical to a per-packet run.
+The only batch kernels left are the ``drain_until`` overrides of the
+exact :class:`WF2QPlusScheduler` and :class:`HPFQScheduler`.  They
+bypass the event bus, so they may only run while no observer is
+attached; :func:`test_drain_until_also_guarded` checks that guard with
+an observer attached before the drain.  ``enqueue_batch`` and
+``dequeue_batch`` are the base class's per-packet loops, so the other
+cases (an observer attached or a buffer cap set *between* batch calls)
+pin the contract those loops inherit from ``enqueue``/``dequeue``:
+every later packet is observed, every cap is enforced, and the served
+schedule is identical to a per-packet run.
 """
 
 import pytest
@@ -16,7 +20,7 @@ from repro.core.packet import Packet
 from repro.core.wf2qplus import WF2QPlusScheduler
 from repro.obs import MetricsSink, RingBufferSink
 
-N = 32  # comfortably above BATCH_KERNEL_MIN
+N = 32  # packets per burst, a multiple of every flow set used below
 
 
 def burst(fids, length=1.0, t=0.0, base=0):
@@ -44,8 +48,8 @@ def make(request):
 
 
 def test_observer_attached_mid_run_sees_every_later_packet(make):
-    """The kernels bypass the event bus, so events for post-attach
-    batches are only possible if the guard disengaged them."""
+    """Every packet enqueued or dequeued after a mid-run attach emits
+    its event through the base per-packet loops."""
     sched = make()
     sched.enqueue_batch(burst("abcd"), now=0.0)
     sched.dequeue_batch(N)
@@ -85,8 +89,8 @@ def test_buffer_limit_set_mid_run_enforced_on_next_batch(make):
 
 
 def test_schedule_identical_across_mid_run_attach(make):
-    """Disengaging mid-run must not perturb service: the batch run with
-    a mid-run attach matches a per-packet run of the same arrivals."""
+    """A mid-run attach must not perturb service: the batch run with a
+    mid-run attach matches a per-packet run of the same arrivals."""
     def row(r):
         return (r.packet.flow_id, r.packet.seqno, r.start_time,
                 r.finish_time, r.virtual_start, r.virtual_finish)

@@ -305,6 +305,13 @@ class TestSimParser:
             build_parser().parse_args(["sim", "--shards", "0"])
 
 
+class TestRetryBudget:
+    def test_negative_max_retries_rejected(self):
+        with pytest.raises(ConfigurationError, match="max_retries"):
+            run_sharded("cbr_flat", shards=1, flows=8, cells=2,
+                        duration=0.002, max_retries=-1)
+
+
 class TestSimCommand:
     def test_single_process_report(self, capsys):
         assert main(["sim", "--flows", "8", "--cells", "2",
