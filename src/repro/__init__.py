@@ -22,78 +22,48 @@ See ``examples/quickstart.py`` for the guided tour and DESIGN.md for the
 paper-to-module map.
 """
 
-from repro.core import (
-    DRRScheduler,
-    FFQScheduler,
-    FIFOScheduler,
-    FlowConfig,
-    GPSFluidSystem,
-    HGPSFluidSystem,
-    HPFQScheduler,
-    LeakyBucket,
-    Packet,
-    PacketScheduler,
-    SCFQScheduler,
-    SFQScheduler,
-    ScheduledPacket,
-    VirtualClockScheduler,
-    WF2QPlusScheduler,
-    WF2QScheduler,
-    WFQScheduler,
-    WRRScheduler,
-    make_hscfq,
-    make_hsfq,
-    make_hwf2qplus,
-    make_hwfq,
-)
-from repro.config import HierarchySpec, NodeSpec, leaf, node
-from repro.errors import (
-    ConfigurationError,
-    EmptySchedulerError,
-    HierarchyError,
-    InvariantViolation,
-    ReproError,
-    SchedulerError,
-    SimulationError,
-    UnknownFlowError,
-)
+from repro._lazy import lazy_exports
 
 __version__ = "1.0.0"
 
-__all__ = [
-    "Packet",
-    "FlowConfig",
-    "LeakyBucket",
-    "PacketScheduler",
-    "ScheduledPacket",
-    "FIFOScheduler",
-    "DRRScheduler",
-    "GPSFluidSystem",
-    "WFQScheduler",
-    "WF2QScheduler",
-    "WF2QPlusScheduler",
-    "SCFQScheduler",
-    "SFQScheduler",
-    "VirtualClockScheduler",
-    "WRRScheduler",
-    "FFQScheduler",
-    "HGPSFluidSystem",
-    "HPFQScheduler",
-    "HierarchySpec",
-    "NodeSpec",
-    "leaf",
-    "node",
-    "make_hwf2qplus",
-    "make_hwfq",
-    "make_hscfq",
-    "make_hsfq",
-    "ReproError",
-    "ConfigurationError",
-    "SchedulerError",
-    "UnknownFlowError",
-    "EmptySchedulerError",
-    "HierarchyError",
-    "InvariantViolation",
-    "SimulationError",
-    "__version__",
-]
+#: Public name -> the module defining it (see :mod:`repro._lazy`).
+_EXPORTS = {
+    "Packet": "repro.core.packet",
+    "FlowConfig": "repro.core.flow",
+    "LeakyBucket": "repro.core.flow",
+    "PacketScheduler": "repro.core.scheduler",
+    "ScheduledPacket": "repro.core.scheduler",
+    "FIFOScheduler": "repro.core.fifo",
+    "DRRScheduler": "repro.core.drr",
+    "GPSFluidSystem": "repro.core.gps",
+    "WFQScheduler": "repro.core.wfq",
+    "WF2QScheduler": "repro.core.wf2q",
+    "WF2QPlusScheduler": "repro.core.wf2qplus",
+    "SCFQScheduler": "repro.core.scfq",
+    "SFQScheduler": "repro.core.sfq",
+    "VirtualClockScheduler": "repro.core.virtual_clock",
+    "WRRScheduler": "repro.core.wrr",
+    "FFQScheduler": "repro.core.ffq",
+    "HGPSFluidSystem": "repro.core.hgps",
+    "HPFQScheduler": "repro.core.hierarchy",
+    "HierarchySpec": "repro.config.hierarchy_spec",
+    "NodeSpec": "repro.config.hierarchy_spec",
+    "leaf": "repro.config.hierarchy_spec",
+    "node": "repro.config.hierarchy_spec",
+    "make_hwf2qplus": "repro.core.hierarchy",
+    "make_hwfq": "repro.core.hierarchy",
+    "make_hscfq": "repro.core.hierarchy",
+    "make_hsfq": "repro.core.hierarchy",
+    "ReproError": "repro.errors",
+    "ConfigurationError": "repro.errors",
+    "SchedulerError": "repro.errors",
+    "UnknownFlowError": "repro.errors",
+    "EmptySchedulerError": "repro.errors",
+    "HierarchyError": "repro.errors",
+    "InvariantViolation": "repro.errors",
+    "SimulationError": "repro.errors",
+}
+
+__all__ = [*_EXPORTS, "__version__"]
+
+__getattr__, __dir__ = lazy_exports(globals(), _EXPORTS)

@@ -31,34 +31,14 @@ committed baselines sequentially.
 import multiprocessing
 import os
 import random
-import zlib
+
+from repro.shard.scenarios import scenario_seed
 
 __all__ = ["parallel_map", "run_scenarios_parallel", "scenario_seed"]
-
-#: Base value mixed into every per-scenario seed (stable across runs).
-_SEED_BASE = 0x5EED
 
 #: Default multiprocessing start method — spawn works on every platform
 #: and never inherits accidental state from the parent.
 _DEFAULT_START = "spawn"
-
-
-#: Odd multiplier (golden-ratio based) spreading the index bits so that
-#: consecutive indices perturb the whole 32-bit word, not just the low bits.
-_INDEX_MIX = 0x9E3779B9
-
-
-def scenario_seed(name, index=0, base=_SEED_BASE):
-    """Deterministic 32-bit seed for a scenario.
-
-    Derived from the scenario *name* (crc32) mixed with its *index* in
-    the request, so two distinct names with colliding checksums cannot
-    share a seed within one sweep.  ``index=0`` (the default) keeps the
-    historical name-only seeds for single-scenario callers.
-    """
-    mixed = zlib.crc32(name.encode("utf-8")) ^ base
-    mixed ^= (index * _INDEX_MIX) & 0xFFFFFFFF
-    return mixed & 0xFFFFFFFF
 
 
 def _run_scenario(job):

@@ -64,7 +64,7 @@ def _flat(cls, n_flows, **kwargs):
 
 def _balanced_tree(depth, fanout):
     """Balanced H-WF2Q+ spec: ``fanout ** depth`` leaves."""
-    from repro.config import leaf, node
+    from repro.config.hierarchy_spec import leaf, node
 
     counter = [0]
 
@@ -81,19 +81,17 @@ def _balanced_tree(depth, fanout):
 
 def zoo_registry():
     """name -> factory(n_flows) for every scheduler in the zoo."""
-    from repro.core import (
-        DRRScheduler,
-        FFQScheduler,
-        FIFOScheduler,
-        HPFQScheduler,
-        SCFQScheduler,
-        SFQScheduler,
-        VirtualClockScheduler,
-        WF2QPlusScheduler,
-        WF2QScheduler,
-        WFQScheduler,
-        WRRScheduler,
-    )
+    from repro.core.drr import DRRScheduler
+    from repro.core.ffq import FFQScheduler
+    from repro.core.fifo import FIFOScheduler
+    from repro.core.hierarchy import HPFQScheduler
+    from repro.core.scfq import SCFQScheduler
+    from repro.core.sfq import SFQScheduler
+    from repro.core.virtual_clock import VirtualClockScheduler
+    from repro.core.wf2q import WF2QScheduler
+    from repro.core.wf2qplus import WF2QPlusScheduler
+    from repro.core.wfq import WFQScheduler
+    from repro.core.wrr import WRRScheduler
 
     def hier(policy):
         def build(n_flows):
@@ -171,7 +169,9 @@ def bursty_cost(build, bursts, burst_flows=8, per_flow=2):
 
 def _pipeline_build(sched_name, workload, n_flows=36):
     """Scheduler + source list for one end-to-end pipeline point."""
-    from repro.core import FIFOScheduler, HPFQScheduler, WF2QPlusScheduler
+    from repro.core.fifo import FIFOScheduler
+    from repro.core.hierarchy import HPFQScheduler
+    from repro.core.wf2qplus import WF2QPlusScheduler
     from repro.traffic.source import CBRSource, PacketTrainSource
 
     if sched_name == "FIFO":
@@ -226,7 +226,7 @@ def pipeline_cost(build, duration):
 # Scenarios
 # ----------------------------------------------------------------------
 def scenario_saturated_churn(quick):
-    from repro.core import WF2QPlusScheduler
+    from repro.core.wf2qplus import WF2QPlusScheduler
 
     packets = 3000 if quick else 20000
     repeats = 3
@@ -241,7 +241,7 @@ def scenario_saturated_churn(quick):
 
 
 def scenario_bursty_onoff(quick):
-    from repro.core import WF2QPlusScheduler
+    from repro.core.wf2qplus import WF2QPlusScheduler
 
     bursts = 100 if quick else 600
     repeats = 3
@@ -256,7 +256,7 @@ def scenario_bursty_onoff(quick):
 
 
 def scenario_hierarchy(quick):
-    from repro.core import HPFQScheduler
+    from repro.core.hierarchy import HPFQScheduler
 
     packets = 2000 if quick else 12000
     repeats = 3
@@ -323,6 +323,7 @@ def scenario_sharded_pipeline(quick):
     """
     import multiprocessing
 
+    # Read through the package, where tests stub it.
     from repro.shard import run_sharded
 
     flows, cells, duration = 256, 8, 0.05

@@ -44,20 +44,18 @@ __all__ = ["main", "build_parser"]
 
 def _stats_registry():
     """name -> scheduler factory for the ``stats`` subcommand."""
-    from repro.config import leaf, node
-    from repro.core import (
-        DRRScheduler,
-        FFQScheduler,
-        FIFOScheduler,
-        HPFQScheduler,
-        SCFQScheduler,
-        SFQScheduler,
-        VirtualClockScheduler,
-        WF2QPlusScheduler,
-        WF2QScheduler,
-        WFQScheduler,
-        WRRScheduler,
-    )
+    from repro.config.hierarchy_spec import leaf, node
+    from repro.core.drr import DRRScheduler
+    from repro.core.ffq import FFQScheduler
+    from repro.core.fifo import FIFOScheduler
+    from repro.core.hierarchy import HPFQScheduler
+    from repro.core.scfq import SCFQScheduler
+    from repro.core.sfq import SFQScheduler
+    from repro.core.virtual_clock import VirtualClockScheduler
+    from repro.core.wf2q import WF2QScheduler
+    from repro.core.wf2qplus import WF2QPlusScheduler
+    from repro.core.wfq import WFQScheduler
+    from repro.core.wrr import WRRScheduler
 
     def make_hier(policy):
         def build(rate, n_flows):
@@ -124,12 +122,9 @@ def _positive_float(text):
 
 def _cmd_stats(args):
     from repro.core.packet import Packet
-    from repro.obs import (
-        InvariantChecker,
-        JSONLSink,
-        MetricsSink,
-        SchedulerProfiler,
-    )
+    from repro.obs.invariants import InvariantChecker
+    from repro.obs.profile import SchedulerProfiler
+    from repro.obs.sinks import JSONLSink, MetricsSink
 
     sched = _stats_registry()[args.scheduler](args.rate, args.flows)
     metrics = MetricsSink()
@@ -220,7 +215,8 @@ def _cmd_sim(args):
     import json
 
     from repro.errors import ConfigurationError
-    from repro.shard import format_report, run_sharded
+    from repro.shard.driver import run_sharded
+    from repro.shard.merge import format_report
 
     migrate = None
     if args.migrate_at is not None:
@@ -257,13 +253,9 @@ def _cmd_sim(args):
 
 def _cmd_serve(args):
     from repro.errors import CheckpointError, ServiceError
-    from repro.serve import (
-        ServiceRunner,
-        build_service_spec,
-        format_soak,
-        run_soak,
-        supervise,
-    )
+    from repro.serve.runner import ServiceRunner
+    from repro.serve.soak import build_service_spec, format_soak, run_soak
+    from repro.serve.supervisor import supervise
 
     if args.soak:
         result = run_soak(flows=args.flows, duration=args.duration,
@@ -430,7 +422,7 @@ def _cmd_bench(args):
 def _cmd_chaos(args):
     import json
 
-    from repro.faults import CHAOS_SCHEDULERS, SCENARIOS, run_chaos
+    from repro.faults.chaos import CHAOS_SCHEDULERS, SCENARIOS, run_chaos
 
     scenarios = args.scenario or list(SCENARIOS)
     schedulers = args.scheduler or ["wf2qplus", "hwf2qplus"]
@@ -634,7 +626,7 @@ def build_parser():
     p_sim.add_argument("--rate", type=_positive_float, default=None,
                        help="per-cell link rate in bits per second")
     p_sim.add_argument("--seed", type=int, default=1)
-    from repro.shard.driver import DEFAULT_MAX_RETRIES
+    from repro.shard.worker import DEFAULT_MAX_RETRIES
     p_sim.add_argument("--max-retries", type=_nonnegative_int,
                        default=DEFAULT_MAX_RETRIES,
                        metavar="N",
@@ -722,7 +714,8 @@ def build_parser():
                               "regression table as machine-readable JSON")
     p_bench.set_defaults(func=_cmd_bench)
 
-    from repro.faults import CHAOS_SCHEDULERS, SCENARIOS as CHAOS_SCENARIOS
+    from repro.faults.chaos import CHAOS_SCHEDULERS
+    from repro.faults.chaos import SCENARIOS as CHAOS_SCENARIOS
     p_chaos = sub.add_parser(
         "chaos",
         help="run fault-injection scenarios under the invariant checker; "

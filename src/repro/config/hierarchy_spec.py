@@ -37,7 +37,7 @@ class NodeSpec:
     __slots__ = ("name", "share", "children")
 
     def __init__(self, name, share, children=None):
-        if share <= 0:
+        if not share > 0:  # also True for NaN
             raise HierarchyError(
                 f"node {name!r}: share must be positive, got {share!r}"
             )
@@ -122,7 +122,7 @@ class HierarchySpec:
         spec = self[name]
         if self._parent[name] is None:
             raise HierarchyError("the root has no siblings; its share is fixed")
-        if share <= 0:
+        if not share > 0:  # also True for NaN
             raise HierarchyError(
                 f"node {name!r}: share must be positive, got {share!r}"
             )

@@ -22,55 +22,37 @@ Hierarchical servers:
 * :class:`~repro.core.hgps.HGPSFluidSystem` — the fluid H-GPS reference.
 """
 
-from repro.core.packet import Packet
-from repro.core.flow import FlowConfig, LeakyBucket
-from repro.core.scheduler import PacketScheduler, ScheduledPacket
-from repro.core.fifo import FIFOScheduler
-from repro.core.gps import GPSFluidSystem
-from repro.core.wfq import WFQScheduler
-from repro.core.wf2q import WF2QScheduler
-from repro.core.wf2qplus import WF2QPlusScheduler
-from repro.core.scfq import SCFQScheduler
-from repro.core.sfq import SFQScheduler
-from repro.core.drr import DRRScheduler
-from repro.core.virtual_clock import VirtualClockScheduler
-from repro.core.wrr import WRRScheduler
-from repro.core.ffq import FFQScheduler
-from repro.core.ablation import NoEligibilityWF2QPlus, NoFloorWF2QPlus
-from repro.core.hgps import HGPSFluidSystem
-from repro.core.hierarchy import (
-    HPFQScheduler,
-    NodeSpec,
-    make_hwf2qplus,
-    make_hwfq,
-    make_hscfq,
-    make_hsfq,
-)
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "Packet",
-    "FlowConfig",
-    "LeakyBucket",
-    "PacketScheduler",
-    "ScheduledPacket",
-    "FIFOScheduler",
-    "GPSFluidSystem",
-    "WFQScheduler",
-    "WF2QScheduler",
-    "WF2QPlusScheduler",
-    "SCFQScheduler",
-    "SFQScheduler",
-    "DRRScheduler",
-    "VirtualClockScheduler",
-    "WRRScheduler",
-    "FFQScheduler",
-    "NoEligibilityWF2QPlus",
-    "NoFloorWF2QPlus",
-    "HGPSFluidSystem",
-    "HPFQScheduler",
-    "NodeSpec",
-    "make_hwf2qplus",
-    "make_hwfq",
-    "make_hscfq",
-    "make_hsfq",
-]
+#: Public name -> the module defining it (see :mod:`repro._lazy`).
+_EXPORTS = {
+    "Packet": "repro.core.packet",
+    "FlowConfig": "repro.core.flow",
+    "LeakyBucket": "repro.core.flow",
+    "PacketScheduler": "repro.core.scheduler",
+    "ScheduledPacket": "repro.core.scheduler",
+    "FIFOScheduler": "repro.core.fifo",
+    "GPSFluidSystem": "repro.core.gps",
+    "WFQScheduler": "repro.core.wfq",
+    "WF2QScheduler": "repro.core.wf2q",
+    "WF2QPlusScheduler": "repro.core.wf2qplus",
+    "SCFQScheduler": "repro.core.scfq",
+    "SFQScheduler": "repro.core.sfq",
+    "DRRScheduler": "repro.core.drr",
+    "VirtualClockScheduler": "repro.core.virtual_clock",
+    "WRRScheduler": "repro.core.wrr",
+    "FFQScheduler": "repro.core.ffq",
+    "NoEligibilityWF2QPlus": "repro.core.ablation",
+    "NoFloorWF2QPlus": "repro.core.ablation",
+    "HGPSFluidSystem": "repro.core.hgps",
+    "HPFQScheduler": "repro.core.hierarchy",
+    "NodeSpec": "repro.config.hierarchy_spec",
+    "make_hwf2qplus": "repro.core.hierarchy",
+    "make_hwfq": "repro.core.hierarchy",
+    "make_hscfq": "repro.core.hierarchy",
+    "make_hsfq": "repro.core.hierarchy",
+}
+
+__all__ = list(_EXPORTS)
+
+__getattr__, __dir__ = lazy_exports(globals(), _EXPORTS)

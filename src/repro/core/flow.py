@@ -36,7 +36,7 @@ class FlowConfig:
     __slots__ = ("flow_id", "share", "name")
 
     def __init__(self, flow_id, share, name=None):
-        if share <= 0:
+        if not share > 0:  # also True for NaN
             raise ConfigurationError(
                 f"flow {flow_id!r}: share must be positive, got {share!r}"
             )
@@ -61,9 +61,9 @@ class LeakyBucket:
     __slots__ = ("sigma", "rho", "_tokens", "_last_time")
 
     def __init__(self, sigma, rho):
-        if sigma < 0:
+        if not sigma >= 0:  # also True for NaN
             raise ConfigurationError(f"sigma must be >= 0, got {sigma!r}")
-        if rho <= 0:
+        if not rho > 0:  # also True for NaN
             raise ConfigurationError(f"rho must be > 0, got {rho!r}")
         self.sigma = sigma
         self.rho = rho

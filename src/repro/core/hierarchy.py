@@ -1430,7 +1430,7 @@ class HPFQScheduler(PacketScheduler):
             raise ConfigurationError(
                 "the root's share is meaningless (it has no siblings)"
             )
-        if share <= 0:
+        if not share > 0:  # also True for NaN
             raise ConfigurationError(
                 f"node {name!r}: share must be positive, got {share!r}"
             )

@@ -235,7 +235,7 @@ class PacketScheduler:
 
     @rate.setter
     def rate(self, value):
-        if value <= 0:
+        if not value > 0:  # also True for NaN
             raise ConfigurationError(
                 f"link rate must be positive, got {value!r}"
             )
@@ -314,7 +314,7 @@ class PacketScheduler:
         if flow_id in self._evicted:
             self._revive(flow_id)
         state = self._flow(flow_id)
-        if share <= 0:
+        if not share > 0:  # also True for NaN
             raise ConfigurationError(
                 f"flow {flow_id!r}: share must be positive, got {share!r}"
             )
@@ -579,7 +579,7 @@ class PacketScheduler:
             self._buffer_limits.pop(flow_id, None)
             self._drop_policies.pop(flow_id, None)
             return
-        if packets < 1:
+        if not packets >= 1:  # also True for NaN
             raise ConfigurationError(
                 f"buffer limit must be >= 1 packet, got {packets!r}"
             )
@@ -605,7 +605,7 @@ class PacketScheduler:
             self._shared_limit = None
             self._shared_policy = DROP_TAIL
             return
-        if packets < 1:
+        if not packets >= 1:  # also True for NaN
             raise ConfigurationError(
                 f"shared buffer limit must be >= 1 packet, got {packets!r}"
             )

@@ -11,38 +11,25 @@ Each builder returns plain data (traces, series) so the same code feeds the
 tests, the benchmarks, and the examples.
 """
 
-from repro.experiments.fig2 import (
-    fig2_gps_departures,
-    fig2_schedule,
-    run_fig2,
-)
-from repro.experiments.delay import (
-    FIG3_LINK_RATE,
-    FIG3_PACKET_LENGTH,
-    build_fig3_spec,
-    run_delay_experiment,
-)
-from repro.experiments.linksharing import (
-    FIG8_LINK_RATE,
-    FIG8_PACKET_LENGTH,
-    ONOFF_SCHEDULE,
-    build_fig8_spec,
-    ideal_intervals,
-    run_linksharing,
-)
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "fig2_schedule",
-    "fig2_gps_departures",
-    "run_fig2",
-    "FIG3_LINK_RATE",
-    "FIG3_PACKET_LENGTH",
-    "build_fig3_spec",
-    "run_delay_experiment",
-    "FIG8_LINK_RATE",
-    "FIG8_PACKET_LENGTH",
-    "ONOFF_SCHEDULE",
-    "build_fig8_spec",
-    "ideal_intervals",
-    "run_linksharing",
-]
+#: Public name -> the module defining it (see :mod:`repro._lazy`).
+_EXPORTS = {
+    "fig2_schedule": "repro.experiments.fig2",
+    "fig2_gps_departures": "repro.experiments.fig2",
+    "run_fig2": "repro.experiments.fig2",
+    "FIG3_LINK_RATE": "repro.experiments.delay",
+    "FIG3_PACKET_LENGTH": "repro.experiments.delay",
+    "build_fig3_spec": "repro.experiments.delay",
+    "run_delay_experiment": "repro.experiments.delay",
+    "FIG8_LINK_RATE": "repro.experiments.linksharing",
+    "FIG8_PACKET_LENGTH": "repro.experiments.linksharing",
+    "ONOFF_SCHEDULE": "repro.experiments.linksharing",
+    "build_fig8_spec": "repro.experiments.linksharing",
+    "ideal_intervals": "repro.experiments.linksharing",
+    "run_linksharing": "repro.experiments.linksharing",
+}
+
+__all__ = list(_EXPORTS)
+
+__getattr__, __dir__ = lazy_exports(globals(), _EXPORTS)

@@ -15,38 +15,31 @@ Three pieces:
   checkpoints for in-process rollback.
 """
 
-from repro.faults.chaos import (
-    CHAOS_SCHEDULERS,
-    SCENARIOS,
-    ChaosResult,
-    run_all,
-    run_chaos,
-)
-from repro.faults.checkpoint import (
-    CHECKPOINT_MAGIC,
-    CHECKPOINT_VERSION,
-    CheckpointStore,
-    checkpoint,
-    load_checkpoint,
-    rollback,
-    save_checkpoint,
-)
-from repro.faults.plan import FaultAction, FaultInjector, FaultPlan
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "FaultAction",
-    "FaultInjector",
-    "FaultPlan",
-    "ChaosResult",
-    "SCENARIOS",
-    "CHAOS_SCHEDULERS",
-    "run_chaos",
-    "run_all",
-    "checkpoint",
-    "rollback",
-    "save_checkpoint",
-    "load_checkpoint",
-    "CheckpointStore",
-    "CHECKPOINT_MAGIC",
-    "CHECKPOINT_VERSION",
-]
+# ``checkpoint`` names both a function and the submodule defining it.
+# Bound lazily, it would read as the module once anything imported
+# ``repro.faults.checkpoint``, so it is bound here.
+from repro.faults.checkpoint import checkpoint
+
+#: Public name -> the module defining it (see :mod:`repro._lazy`).
+_EXPORTS = {
+    "FaultAction": "repro.faults.plan",
+    "FaultInjector": "repro.faults.plan",
+    "FaultPlan": "repro.faults.plan",
+    "ChaosResult": "repro.faults.chaos",
+    "SCENARIOS": "repro.faults.chaos",
+    "CHAOS_SCHEDULERS": "repro.faults.chaos",
+    "run_chaos": "repro.faults.chaos",
+    "run_all": "repro.faults.chaos",
+    "rollback": "repro.faults.checkpoint",
+    "save_checkpoint": "repro.faults.checkpoint",
+    "load_checkpoint": "repro.faults.checkpoint",
+    "CheckpointStore": "repro.faults.checkpoint",
+    "CHECKPOINT_MAGIC": "repro.faults.checkpoint",
+    "CHECKPOINT_VERSION": "repro.faults.checkpoint",
+}
+
+__all__ = [*_EXPORTS, "checkpoint"]
+
+__getattr__, __dir__ = lazy_exports(globals(), _EXPORTS)

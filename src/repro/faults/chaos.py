@@ -49,17 +49,15 @@ _HIER = {"hwf2qplus": "wf2qplus", "hwfq": "wfq", "hscfq": "scfq",
 
 def _build_scheduler(name, rate, flows):
     """Instantiate a chaos-capable scheduler with ``flows`` leaves."""
-    from repro.core import (
-        DRRScheduler,
-        FFQScheduler,
-        FIFOScheduler,
-        HPFQScheduler,
-        SCFQScheduler,
-        SFQScheduler,
-        VirtualClockScheduler,
-        WF2QPlusScheduler,
-        WRRScheduler,
-    )
+    from repro.core.drr import DRRScheduler
+    from repro.core.ffq import FFQScheduler
+    from repro.core.fifo import FIFOScheduler
+    from repro.core.hierarchy import HPFQScheduler
+    from repro.core.scfq import SCFQScheduler
+    from repro.core.sfq import SFQScheduler
+    from repro.core.virtual_clock import VirtualClockScheduler
+    from repro.core.wf2qplus import WF2QPlusScheduler
+    from repro.core.wrr import WRRScheduler
 
     flat = {
         "fifo": FIFOScheduler,
@@ -77,7 +75,7 @@ def _build_scheduler(name, rate, flows):
             sched.add_flow(str(i), 1 + (i % 3))
         return sched
     if name in _HIER:
-        from repro.config import leaf, node
+        from repro.config.hierarchy_spec import leaf, node
         groups, chunk = [], 4
         for g in range(0, flows, chunk):
             leaves = [leaf(str(i), 1 + (i % 3))
@@ -104,7 +102,7 @@ def _make_plan(scenario, scheduler, sched, seed, duration, flows, length):
         plan.link_degradation(duration * 0.45, duration * 0.2)
     elif scenario == "churn_storm":
         if hierarchical:
-            from repro.config import leaf, node
+            from repro.config.hierarchy_spec import leaf, node
             rng = random.Random(seed + 1)
             parents = sorted(
                 n for n in sched.spec.node_names()
@@ -217,7 +215,7 @@ def run_chaos(scenario, scheduler="wf2qplus", seed=1, duration=2.0,
     """
     from repro.core.packet import Packet
     from repro.faults.plan import FaultInjector
-    from repro.obs import InvariantChecker
+    from repro.obs.invariants import InvariantChecker
     from repro.sim.engine import Simulator
     from repro.sim.link import Link
 

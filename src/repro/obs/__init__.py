@@ -26,51 +26,34 @@ Typical use::
     print(metrics.format_report())
 """
 
-from repro.obs.events import (
-    DequeueEvent,
-    DropEvent,
-    EnqueueEvent,
-    EventBus,
-    FaultEvent,
-    IncidentEvent,
-    NodeRestart,
-    SchedulerEvent,
-    VirtualTimeUpdate,
-    event_from_dict,
-)
-from repro.obs.invariants import InvariantChecker, InvariantViolation
-from repro.obs.profile import OpStats, SchedulerProfiler, percentile
-from repro.obs.sinks import (
-    CallbackSink,
-    FlowMetrics,
-    JSONLSink,
-    MetricsSink,
-    RingBufferSink,
-    Sink,
-    read_jsonl,
-)
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "SchedulerEvent",
-    "EnqueueEvent",
-    "DequeueEvent",
-    "DropEvent",
-    "VirtualTimeUpdate",
-    "NodeRestart",
-    "FaultEvent",
-    "IncidentEvent",
-    "EventBus",
-    "event_from_dict",
-    "Sink",
-    "CallbackSink",
-    "RingBufferSink",
-    "JSONLSink",
-    "read_jsonl",
-    "MetricsSink",
-    "FlowMetrics",
-    "InvariantChecker",
-    "InvariantViolation",
-    "SchedulerProfiler",
-    "OpStats",
-    "percentile",
-]
+#: Public name -> the module defining it (see :mod:`repro._lazy`).
+_EXPORTS = {
+    "SchedulerEvent": "repro.obs.events",
+    "EnqueueEvent": "repro.obs.events",
+    "DequeueEvent": "repro.obs.events",
+    "DropEvent": "repro.obs.events",
+    "VirtualTimeUpdate": "repro.obs.events",
+    "NodeRestart": "repro.obs.events",
+    "FaultEvent": "repro.obs.events",
+    "IncidentEvent": "repro.obs.events",
+    "EventBus": "repro.obs.events",
+    "event_from_dict": "repro.obs.events",
+    "Sink": "repro.obs.sinks",
+    "CallbackSink": "repro.obs.sinks",
+    "RingBufferSink": "repro.obs.sinks",
+    "JSONLSink": "repro.obs.sinks",
+    "read_jsonl": "repro.obs.sinks",
+    "MetricsSink": "repro.obs.sinks",
+    "FlowMetrics": "repro.obs.sinks",
+    "InvariantChecker": "repro.obs.invariants",
+    "InvariantViolation": "repro.errors",
+    "SchedulerProfiler": "repro.obs.profile",
+    "OpStats": "repro.obs.profile",
+    "percentile": "repro.obs.profile",
+}
+
+__all__ = list(_EXPORTS)
+
+__getattr__, __dir__ = lazy_exports(globals(), _EXPORTS)

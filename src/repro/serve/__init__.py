@@ -15,16 +15,19 @@ Three pieces:
   ``python -m repro serve --soak`` and CI's ``soak-smoke`` gate.
 """
 
-from repro.serve.runner import DigestTrace, ServiceRunner
-from repro.serve.soak import build_service_spec, format_soak, run_soak
-from repro.serve.supervisor import Supervisor, supervise
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "ServiceRunner",
-    "DigestTrace",
-    "Supervisor",
-    "supervise",
-    "run_soak",
-    "build_service_spec",
-    "format_soak",
-]
+#: Public name -> the module defining it (see :mod:`repro._lazy`).
+_EXPORTS = {
+    "ServiceRunner": "repro.serve.runner",
+    "DigestTrace": "repro.serve.runner",
+    "Supervisor": "repro.serve.supervisor",
+    "supervise": "repro.serve.supervisor",
+    "run_soak": "repro.serve.soak",
+    "build_service_spec": "repro.serve.soak",
+    "format_soak": "repro.serve.soak",
+}
+
+__all__ = list(_EXPORTS)
+
+__getattr__, __dir__ = lazy_exports(globals(), _EXPORTS)

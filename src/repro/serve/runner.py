@@ -168,9 +168,9 @@ class ServiceRunner:
         A flat or hierarchical cell spec (the :mod:`repro.shard.worker`
         shape): ``{"cell", "kind": "flat", "scheduler": {...},
         "sources": [...]}``.  Network cells are not servable.  The spec
-        is deep-copied; the runner's copy is the *effective spec*,
-        mutated by every applied command so checkpoints always describe
-        the current world.
+        is deep-copied (a recovery adopts the copy it decoded); the
+        runner's copy is the *effective spec*, mutated by every applied
+        command so checkpoints always describe the current world.
     checkpoint_dir / checkpoint_every / keep:
         Durable checkpoint cadence: every ``checkpoint_every`` simulated
         seconds a payload is written atomically into ``checkpoint_dir``
@@ -202,10 +202,12 @@ class ServiceRunner:
             raise ConfigurationError(
                 "repro serve hosts a single link; network cells are not "
                 "servable")
-        if checkpoint_every is not None and checkpoint_every <= 0:
+        if checkpoint_every is not None and not checkpoint_every > 0:
             raise ConfigurationError(
                 f"checkpoint_every must be positive, got {checkpoint_every!r}")
-        self.spec = copy.deepcopy(spec)
+        # A caller's spec is copied.  A recovery hands over the spec it
+        # just decoded from the checkpoint, which nothing else holds.
+        self.spec = copy.deepcopy(spec) if _restore is None else spec
         self.spec.setdefault("faults", [])
         self.checkpoint_every = checkpoint_every
         self.idle_ttl = idle_ttl
@@ -225,7 +227,7 @@ class ServiceRunner:
         self.peak_live_flows = 0
         self.store = None
         if checkpoint_dir is not None:
-            from repro.faults import CheckpointStore
+            from repro.faults.checkpoint import CheckpointStore
 
             self.store = CheckpointStore(checkpoint_dir, keep=keep,
                                          on_skip=self._skipped_checkpoint)
@@ -245,7 +247,8 @@ class ServiceRunner:
     def _build(self, spec):
         """(Re)build the live stack — sim, link, sinks, attached sources —
         from ``spec``.  Sources are attached but not started."""
-        from repro.obs import InvariantChecker, MetricsSink
+        from repro.obs.invariants import InvariantChecker
+        from repro.obs.sinks import MetricsSink
         from repro.shard.worker import build_scheduler, build_source
         from repro.sim.engine import Simulator
         from repro.sim.link import Link
@@ -325,7 +328,7 @@ class ServiceRunner:
                    if after is None or a[0] > after]
         if not actions:
             return
-        from repro.faults import FaultInjector, FaultPlan
+        from repro.faults.plan import FaultInjector, FaultPlan
 
         plan = FaultPlan()
         for action_time, kind, target, value in actions:
@@ -343,7 +346,7 @@ class ServiceRunner:
         is raised so the supervisor can distinguish "recover" from
         "cannot recover".
         """
-        from repro.faults import CheckpointStore
+        from repro.faults.checkpoint import CheckpointStore
 
         skipped = []
         probe = CheckpointStore(
@@ -513,7 +516,7 @@ class ServiceRunner:
                     f"fault time {action[0]!r} is not in the future "
                     f"(clock is {self.sim.now!r})")
             self.spec["faults"].append(action)
-            from repro.faults import FaultInjector, FaultPlan
+            from repro.faults.plan import FaultInjector, FaultPlan
 
             plan = FaultPlan()
             plan._add(action[0], action[1], target=action[2],
@@ -542,7 +545,7 @@ class ServiceRunner:
     # ------------------------------------------------------------------
     def advance(self, dt):
         """Serve ``dt`` more simulated seconds; returns the new clock."""
-        if dt < 0:
+        if not dt >= 0:  # also True for NaN
             raise ConfigurationError(f"cannot advance by {dt!r}")
         return self.run_to(self.sim.now + dt)
 
@@ -750,7 +753,7 @@ class ServiceRunner:
 
     # ------------------------------------------------------------------
     def _incident(self, category, target=None, detail=None):
-        from repro.obs import IncidentEvent
+        from repro.obs.events import IncidentEvent
 
         event = IncidentEvent(self.sim.now, self.link.scheduler.name,
                               category, target=target, detail=detail)

@@ -7,39 +7,28 @@ single report whose digest is independent of worker count, completion
 order, and checkpoint-based shard migration.  See DESIGN.md §8.
 """
 
-from repro.shard.driver import run_sharded
-from repro.shard.merge import assemble_report, canonical_digest, format_report
-from repro.shard.partition import (
-    assign_shards,
-    cell_weight,
-    connected_components,
-    subtree_slices,
-    validate_cells,
-)
-from repro.shard.scenarios import SHARD_SCENARIOS, build_scenario
-from repro.shard.worker import (
-    build_cell,
-    checkpoint_cell,
-    merge_segments,
-    resume_cell,
-    run_cells,
-)
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "run_sharded",
-    "assemble_report",
-    "canonical_digest",
-    "format_report",
-    "assign_shards",
-    "cell_weight",
-    "connected_components",
-    "subtree_slices",
-    "validate_cells",
-    "SHARD_SCENARIOS",
-    "build_scenario",
-    "build_cell",
-    "checkpoint_cell",
-    "merge_segments",
-    "resume_cell",
-    "run_cells",
-]
+#: Public name -> the module defining it (see :mod:`repro._lazy`).
+_EXPORTS = {
+    "run_sharded": "repro.shard.driver",
+    "assemble_report": "repro.shard.merge",
+    "canonical_digest": "repro.shard.merge",
+    "format_report": "repro.shard.merge",
+    "assign_shards": "repro.shard.partition",
+    "cell_weight": "repro.shard.partition",
+    "connected_components": "repro.shard.partition",
+    "subtree_slices": "repro.shard.partition",
+    "validate_cells": "repro.shard.partition",
+    "SHARD_SCENARIOS": "repro.shard.scenarios",
+    "build_scenario": "repro.shard.scenarios",
+    "build_cell": "repro.shard.worker",
+    "checkpoint_cell": "repro.shard.worker",
+    "merge_segments": "repro.shard.worker",
+    "resume_cell": "repro.shard.worker",
+    "run_cells": "repro.shard.worker",
+}
+
+__all__ = list(_EXPORTS)
+
+__getattr__, __dir__ = lazy_exports(globals(), _EXPORTS)

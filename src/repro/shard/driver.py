@@ -25,6 +25,7 @@ from repro.shard.merge import assemble_report
 from repro.shard.partition import assign_shards
 from repro.shard.scenarios import build_scenario
 from repro.shard.worker import (
+    DEFAULT_MAX_RETRIES,
     checkpoint_cell,
     resume_cell,
     run_cells,
@@ -36,12 +37,6 @@ __all__ = ["run_sharded"]
 #: Spawn never inherits accidental parent state; tests override with
 #: ``fork`` for start-up speed.
 _DEFAULT_START = "spawn"
-
-#: Default retry budget per shard (``--max-retries``): a worker that dies
-#: — non-zero exit, killed, or an exception that pickles back — is re-run
-#: up to this many extra times with exponential backoff before the driver
-#: reports the failed cells.
-DEFAULT_MAX_RETRIES = 2
 
 
 def _run_jobs(ctx, jobs, duration, max_retries, backoff, absorb, sleep=None):

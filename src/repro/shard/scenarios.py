@@ -10,9 +10,8 @@ four partitioning rules are represented:
     bench.
 ``poisson_mix``
     Same shape with Poisson sources; per-source seeds are fixed into the
-    spec at build time via the collision-safe
-    :func:`~repro.bench.parallel.scenario_seed`, so results are
-    independent of which worker draws them.
+    spec at build time via the collision-safe :func:`scenario_seed`, so
+    results are independent of which worker draws them.
 ``hier``
     One H-WF2Q+ hierarchy split at the root: each child subtree becomes
     a cell served at its ``guaranteed_rate`` slice — exact Fractions for
@@ -27,15 +26,36 @@ Every parameter that feeds randomness or identity is resolved here, at
 plan time; workers only replay the specs.
 """
 
-from repro.bench.parallel import scenario_seed
-from repro.config import HierarchySpec, leaf, node
+import zlib
+
+from repro.config.hierarchy_spec import HierarchySpec, leaf, node
 from repro.errors import ConfigurationError
 from repro.shard.partition import connected_components, subtree_slices
 from repro.shard.worker import tree_to_list
 
-__all__ = ["SHARD_SCENARIOS", "build_scenario"]
+__all__ = ["SHARD_SCENARIOS", "build_scenario", "scenario_seed"]
 
 _LENGTH = 8000  # bits per packet (integer: exact under Fraction rates)
+
+#: Base value mixed into every per-scenario seed (stable across runs).
+_SEED_BASE = 0x5EED
+
+#: Odd multiplier (golden-ratio based) spreading the index bits so that
+#: consecutive indices perturb the whole 32-bit word, not just the low bits.
+_INDEX_MIX = 0x9E3779B9
+
+
+def scenario_seed(name, index=0, base=_SEED_BASE):
+    """Deterministic 32-bit seed for a scenario.
+
+    Derived from the scenario *name* (crc32) mixed with its *index* in
+    the request, so two distinct names with colliding checksums cannot
+    share a seed within one sweep.  ``index=0`` (the default) keeps the
+    historical name-only seeds for single-scenario callers.
+    """
+    mixed = zlib.crc32(name.encode("utf-8")) ^ base
+    mixed ^= (index * _INDEX_MIX) & 0xFFFFFFFF
+    return mixed & 0xFFFFFFFF
 
 
 def _chunks(n, groups):

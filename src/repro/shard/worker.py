@@ -23,6 +23,8 @@ to the end, and splices the two segments into one result identical — up
 to the digest-excluded gauges — to the uninterrupted run.
 """
 
+from importlib import import_module
+
 from repro.errors import ConfigurationError
 
 __all__ = [
@@ -34,41 +36,36 @@ __all__ = [
     "merge_segments",
 ]
 
+#: Default retry budget per shard (``--max-retries``): a worker that dies
+#: — non-zero exit, killed, or an exception that pickles back — is re-run
+#: up to this many extra times with exponential backoff before the driver
+#: reports the failed cells.  Defined here rather than in the driver so
+#: the CLI can read it without loading ``multiprocessing``.
+DEFAULT_MAX_RETRIES = 2
+
 
 # ----------------------------------------------------------------------
 # Registries: spec dict -> live object
 # ----------------------------------------------------------------------
-def _scheduler_classes():
-    from repro.core import (
-        DRRScheduler,
-        FFQScheduler,
-        FIFOScheduler,
-        SCFQScheduler,
-        SFQScheduler,
-        VirtualClockScheduler,
-        WF2QPlusScheduler,
-        WF2QScheduler,
-        WFQScheduler,
-        WRRScheduler,
-    )
-
-    return {
-        "fifo": FIFOScheduler,
-        "wrr": WRRScheduler,
-        "drr": DRRScheduler,
-        "scfq": SCFQScheduler,
-        "sfq": SFQScheduler,
-        "vclock": VirtualClockScheduler,
-        "ffq": FFQScheduler,
-        "wfq": WFQScheduler,
-        "wf2q": WF2QScheduler,
-        "wf2qplus": WF2QPlusScheduler,
-    }
+#: Flat scheduler policy -> (defining module, class name).  A spec loads
+#: only the class it names.
+_FLAT_SCHEDULERS = {
+    "fifo": ("repro.core.fifo", "FIFOScheduler"),
+    "wrr": ("repro.core.wrr", "WRRScheduler"),
+    "drr": ("repro.core.drr", "DRRScheduler"),
+    "scfq": ("repro.core.scfq", "SCFQScheduler"),
+    "sfq": ("repro.core.sfq", "SFQScheduler"),
+    "vclock": ("repro.core.virtual_clock", "VirtualClockScheduler"),
+    "ffq": ("repro.core.ffq", "FFQScheduler"),
+    "wfq": ("repro.core.wfq", "WFQScheduler"),
+    "wf2q": ("repro.core.wf2q", "WF2QScheduler"),
+    "wf2qplus": ("repro.core.wf2qplus", "WF2QPlusScheduler"),
+}
 
 
 def _tree_from_list(tree):
     """``["name", share, [children...]]`` -> :class:`NodeSpec`."""
-    from repro.config import leaf, node
+    from repro.config.hierarchy_spec import leaf, node
 
     name, share, children = tree
     if not children:
@@ -99,16 +96,16 @@ def build_scheduler(spec):
             f"backend was removed, and 'exact' (the default) is the only "
             f"one left")
     if spec["kind"] == "hpfq":
-        from repro.core import HPFQScheduler
+        from repro.core.hierarchy import HPFQScheduler
 
         sched = HPFQScheduler(_tree_from_list(spec["tree"]),
                               spec["rate"], policy=spec["policy"])
     else:
-        classes = _scheduler_classes()
-        if spec["policy"] not in classes:
+        if spec["policy"] not in _FLAT_SCHEDULERS:
             raise ConfigurationError(
                 f"unknown scheduler policy {spec['policy']!r}")
-        sched = classes[spec["policy"]](spec["rate"])
+        module, name = _FLAT_SCHEDULERS[spec["policy"]]
+        sched = getattr(import_module(module), name)(spec["rate"])
         for flow_id, share in spec["flows"]:
             sched.add_flow(flow_id, share)
     for flow_id, packets in sorted(spec.get("buffers", {}).items(),
@@ -174,7 +171,7 @@ def build_cell(sim, spec, start=True):
     ``start=False`` leaves the sources attached but unscheduled, for
     :func:`resume_cell` to restore instead.
     """
-    from repro.obs import MetricsSink
+    from repro.obs.sinks import MetricsSink
     from repro.sim.link import Link
     from repro.sim.monitor import ServiceTrace
 

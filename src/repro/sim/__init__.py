@@ -7,10 +7,19 @@ output link that drives any :class:`~repro.core.scheduler.PacketScheduler`
 :class:`DelayMonitor`).
 """
 
-from repro.sim.engine import Event, Simulator
-from repro.sim.link import Link
-from repro.sim.monitor import DelayMonitor, ServiceTrace
-from repro.sim.network import DeliveryLog, Network
+from repro._lazy import lazy_exports
 
-__all__ = ["Simulator", "Event", "Link", "ServiceTrace", "DelayMonitor",
-           "Network", "DeliveryLog"]
+#: Public name -> the module defining it (see :mod:`repro._lazy`).
+_EXPORTS = {
+    "Simulator": "repro.sim.engine",
+    "Event": "repro.sim.engine",
+    "Link": "repro.sim.link",
+    "ServiceTrace": "repro.sim.monitor",
+    "DelayMonitor": "repro.sim.monitor",
+    "Network": "repro.sim.network",
+    "DeliveryLog": "repro.sim.network",
+}
+
+__all__ = list(_EXPORTS)
+
+__getattr__, __dir__ = lazy_exports(globals(), _EXPORTS)

@@ -180,10 +180,10 @@ class Simulator:
         """Run ``callback(*args)`` at absolute ``time``.
 
         ``priority`` orders simultaneous events (lower runs first).
-        Scheduling in the past raises :class:`SimulationError`.
+        Scheduling in the past, or at NaN, raises :class:`SimulationError`.
         ``pooled`` is accepted for compatibility and ignored.
         """
-        if time < self._now:
+        if not time >= self._now:  # also True for NaN
             raise SimulationError(
                 f"cannot schedule at {time!r}: clock is already {self._now!r}"
             )
@@ -195,7 +195,7 @@ class Simulator:
 
     def schedule_in(self, delay, callback, *args, priority=0, pooled=False):
         """Run ``callback(*args)`` after ``delay`` seconds."""
-        if delay < 0:
+        if not delay >= 0:  # also True for NaN
             raise SimulationError(f"negative delay: {delay!r}")
         # Inlined schedule(): a non-negative delay from `now` can never
         # land in the past, so the past-check is skipped on this path.

@@ -66,7 +66,7 @@ class Link:
 
     def __init__(self, sim, scheduler, receiver=None, propagation_delay=0.0,
                  trace=None, burst_drain=True):
-        if propagation_delay < 0:
+        if not propagation_delay >= 0:  # also True for NaN
             raise SimulationError(
                 f"propagation delay must be >= 0, got {propagation_delay!r}"
             )

@@ -55,7 +55,7 @@ class Source:
     TIMETABLE_CHUNK = 0
 
     def __init__(self, flow_id, packet_length, start_time=0.0, stop_time=None):
-        if packet_length <= 0:
+        if not packet_length > 0:  # also True for NaN
             raise ConfigurationError(
                 f"packet_length must be positive, got {packet_length!r}"
             )
@@ -253,7 +253,7 @@ class CBRSource(Source):
     def __init__(self, flow_id, rate, packet_length, start_time=0.0,
                  stop_time=None):
         super().__init__(flow_id, packet_length, start_time, stop_time)
-        if rate <= 0:
+        if not rate > 0:  # also True for NaN
             raise ConfigurationError(f"rate must be positive, got {rate!r}")
         self.rate = rate
 
@@ -281,7 +281,7 @@ class PoissonSource(Source):
     def __init__(self, flow_id, rate, packet_length, seed=0, start_time=0.0,
                  stop_time=None):
         super().__init__(flow_id, packet_length, start_time, stop_time)
-        if rate <= 0:
+        if not rate > 0:  # also True for NaN
             raise ConfigurationError(f"rate must be positive, got {rate!r}")
         self.rate = rate
         self._rng = random.Random(seed)
@@ -319,9 +319,9 @@ class OnOffSource(Source):
     def __init__(self, flow_id, peak_rate, packet_length, on_duration,
                  off_duration, start_time=0.0, stop_time=None):
         super().__init__(flow_id, packet_length, start_time, stop_time)
-        if peak_rate <= 0:
+        if not peak_rate > 0:  # also True for NaN
             raise ConfigurationError(f"peak_rate must be positive, got {peak_rate!r}")
-        if on_duration <= 0 or off_duration < 0:
+        if not (on_duration > 0 and off_duration >= 0):
             raise ConfigurationError("invalid on/off durations")
         self.peak_rate = peak_rate
         self.on_duration = on_duration
@@ -400,7 +400,7 @@ class IntervalSource(Source):
             raise ConfigurationError("need at least one interval")
         super().__init__(flow_id, packet_length, start_time=ivals[0][0],
                          stop_time=stop_time)
-        if peak_rate <= 0:
+        if not peak_rate > 0:  # also True for NaN
             raise ConfigurationError(f"peak_rate must be positive, got {peak_rate!r}")
         self.peak_rate = peak_rate
         self.intervals = ivals
@@ -444,7 +444,7 @@ class PacketTrainSource(Source):
         super().__init__(flow_id, packet_length, start_time, stop_time)
         if train_length < 1:
             raise ConfigurationError("train_length must be >= 1")
-        if train_interval <= 0 or line_rate <= 0:
+        if not (train_interval > 0 and line_rate > 0):
             raise ConfigurationError("invalid train interval or line rate")
         if train_interval - (train_length - 1) * packet_length / line_rate <= 0:
             raise ConfigurationError(
@@ -491,9 +491,9 @@ class MarkovOnOffSource(Source):
     def __init__(self, flow_id, peak_rate, packet_length, mean_on, mean_off,
                  seed=0, start_time=0.0, stop_time=None):
         super().__init__(flow_id, packet_length, start_time, stop_time)
-        if peak_rate <= 0:
+        if not peak_rate > 0:  # also True for NaN
             raise ConfigurationError(f"peak_rate must be positive, got {peak_rate!r}")
-        if mean_on <= 0 or mean_off <= 0:
+        if not (mean_on > 0 and mean_off > 0):
             raise ConfigurationError("mean_on and mean_off must be positive")
         self.peak_rate = peak_rate
         self.mean_on = mean_on

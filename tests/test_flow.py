@@ -26,6 +26,10 @@ class TestFlowConfig:
         with pytest.raises(ConfigurationError):
             FlowConfig("x", share)
 
+    def test_nan_share_rejected(self):
+        with pytest.raises(ConfigurationError):
+            FlowConfig("x", float("nan"))
+
     def test_repr_mentions_id(self):
         assert "web" in repr(FlowConfig("web", 1))
 
@@ -64,6 +68,12 @@ class TestLeakyBucketBasics:
             LeakyBucket(-1, 10)
         with pytest.raises(ConfigurationError):
             LeakyBucket(10, 0)
+
+    def test_nan_parameters_rejected(self):
+        with pytest.raises(ConfigurationError):
+            LeakyBucket(float("nan"), 10)
+        with pytest.raises(ConfigurationError):
+            LeakyBucket(10, float("nan"))
 
     def test_envelope(self):
         b = LeakyBucket(500, 100)

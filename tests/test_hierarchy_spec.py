@@ -35,6 +35,12 @@ class TestConstruction:
         with pytest.raises(HierarchyError):
             NodeSpec("x", -1)
 
+    def test_nan_share_rejected(self):
+        with pytest.raises(HierarchyError):
+            leaf("x", float("nan"))
+        with pytest.raises(HierarchyError):
+            example().set_share("rt", float("nan"))
+
     def test_lookup(self):
         spec = example()
         assert "rt" in spec

@@ -62,6 +62,12 @@ class TestLink:
         with pytest.raises(SimulationError):
             Link(sim, sched, propagation_delay=-1)
 
+    def test_nan_propagation_rejected(self):
+        sim = Simulator()
+        sched = FIFOScheduler(1000.0)
+        with pytest.raises(SimulationError):
+            Link(sim, sched, propagation_delay=float("nan"))
+
     def test_drops_counted_and_callbacked(self):
         sim, sched, link, trace = setup()
         sched.set_buffer_limit("a", 1)

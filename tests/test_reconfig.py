@@ -85,6 +85,15 @@ class TestFlatSetShare:
         with pytest.raises(UnknownFlowError):
             sched.set_share("zz", 2)
 
+    def test_nan_share_and_rate_rejected(self):
+        sched = build_wf2qplus()
+        with pytest.raises(ConfigurationError):
+            WF2QPlusScheduler(float("nan"))
+        with pytest.raises(ConfigurationError):
+            sched.set_share("a", float("nan"))
+        with pytest.raises(ConfigurationError):
+            sched.set_link_rate(float("nan"))
+
     def test_checker_clean_across_random_renegotiations(self):
         sched = build_wf2qplus()
         sched.attach_observer(InvariantChecker(tolerance=0))
@@ -230,6 +239,15 @@ class TestHPFQReconfig:
             sched.set_share("root", 2)
         with pytest.raises(ConfigurationError):
             sched.set_share("a", -1)
+
+    def test_nan_share_and_rate_rejected(self):
+        sched = build_tree()
+        with pytest.raises(ConfigurationError):
+            sched.set_share("a", float("nan"))
+        with pytest.raises(ConfigurationError):
+            sched.set_link_rate(float("nan"))
+        with pytest.raises(ConfigurationError):
+            HPFQScheduler(sched.spec, float("nan"))
 
     def test_attach_route_traffic_detach(self):
         sched = build_tree()

@@ -26,6 +26,20 @@ class TestRegistration:
         with pytest.raises(ConfigurationError):
             FIFOScheduler(rate=0)
 
+    def test_nan_rate_and_share_rejected(self, sched):
+        nan = float("nan")
+        with pytest.raises(ConfigurationError):
+            FIFOScheduler(rate=nan)
+        with pytest.raises(ConfigurationError):
+            sched.set_link_rate(nan)
+        with pytest.raises(ConfigurationError):
+            sched.add_flow("c", nan)
+        with pytest.raises(ConfigurationError):
+            sched.set_share("a", nan)
+        assert sched.rate == 1000
+        assert sched.flow_ids == ["a", "b"]
+        assert sched.guaranteed_rate("a") == 250
+
     def test_duplicate_flow(self, sched):
         with pytest.raises(DuplicateFlowError):
             sched.add_flow("a", 1)
@@ -135,6 +149,12 @@ class TestBufferLimits:
             sched.set_buffer_limit("a", 0)
         with pytest.raises(UnknownFlowError):
             sched.set_buffer_limit("zzz", 5)
+
+    def test_nan_limit_rejected(self, sched):
+        with pytest.raises(ConfigurationError):
+            sched.set_buffer_limit("a", float("nan"))
+        with pytest.raises(ConfigurationError):
+            sched.set_shared_buffer(float("nan"))
 
     def test_dequeue_frees_space(self, sched):
         sched.set_buffer_limit("a", 1)

@@ -99,6 +99,14 @@ class TestStreamingLoop:
         with pytest.raises(ConfigurationError):
             runner.advance(-0.1)
 
+    def test_nan_advance_and_cadence_rejected(self):
+        runner = ServiceRunner(small_spec())
+        with pytest.raises(ConfigurationError):
+            runner.advance(float("nan"))
+        assert runner.now == 0.0
+        with pytest.raises(ConfigurationError):
+            ServiceRunner(small_spec(), checkpoint_every=float("nan"))
+
     def test_network_spec_rejected(self):
         with pytest.raises(ConfigurationError):
             ServiceRunner({"kind": "network", "cell": "n"})

@@ -3,7 +3,8 @@
 Each :meth:`ServiceRunner.checkpoint` pickles its payload exactly once.
 Those bytes are both the durable file's payload and the in-memory
 rollback point the quarantine path restores, so no command applied after
-the checkpoint can reach back into either.  The file layout is the
+the checkpoint can reach back into either.  A recovery adopts the spec it
+decodes instead of copying it again.  The file layout is the
 version-1 format (magic, version, length, SHA-256, pickle): a plain
 version-1 reader and writer defined here must interoperate with it.  The
 digest rows the service folds are pinned for every field type.
@@ -104,6 +105,28 @@ class TestOneSerialization:
         runner.run_to(0.3)
         assert runner.checkpoints_written - written == 5
         assert counted == {"pickle": 5, "deepcopy": 0}
+
+
+class TestSpecCopies:
+    def test_recover_adopts_the_decoded_spec(self, tmp_path, counted):
+        runner = ServiceRunner(small_spec(), checkpoint_dir=tmp_path)
+        runner.run_to(0.1)
+        runner.checkpoint()
+        counted.update(pickle=0, deepcopy=0)
+        recovered = ServiceRunner.recover(tmp_path)
+        assert counted["deepcopy"] == 0
+        assert recovered.spec == runner.spec
+        assert recovered.spec is not runner.spec
+
+    def test_constructor_copies_the_callers_spec(self):
+        spec = small_spec()
+        expected = copy.deepcopy(spec)
+        runner = ServiceRunner(spec)
+        runner.spec["scheduler"]["flows"][0] = ("f0000", 9)
+        runner.spec["sources"].pop()
+        runner.submit("set_share", flow="f0001", share=7)
+        runner.apply_pending()
+        assert spec == expected
 
 
 # ----------------------------------------------------------------------

@@ -53,6 +53,20 @@ class TestScheduling:
         with pytest.raises(SimulationError):
             sim.schedule_in(-1, lambda: None)
 
+    def test_nan_time_rejected(self):
+        # NaN compares false with everything, so a plain `time < now`
+        # guard would queue it, and it would fire between 1.0 and 2.0.
+        sim = Simulator()
+        out = []
+        sim.schedule(1.0, out.append, 1.0)
+        sim.schedule(2.0, out.append, 2.0)
+        with pytest.raises(SimulationError):
+            sim.schedule(float("nan"), lambda: out.append(sim.now))
+        with pytest.raises(SimulationError):
+            sim.schedule_in(float("nan"), lambda: out.append(sim.now))
+        sim.run()
+        assert out == [1.0, 2.0]
+
 
 class TestRun:
     def test_until_stops_and_advances_clock(self):

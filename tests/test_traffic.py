@@ -37,6 +37,21 @@ class TestSourceBase:
         with pytest.raises(ConfigurationError):
             CBRSource("f", rate=1000, packet_length=0)
 
+    @pytest.mark.parametrize("make", [
+        lambda nan: CBRSource("f", nan, 100),
+        lambda nan: PoissonSource("f", nan, 100),
+        lambda nan: CBRSource("f", 1000, nan),
+        lambda nan: OnOffSource("f", nan, 100, 0.1, 0.1),
+        lambda nan: OnOffSource("f", 1000, 100, nan, 0.1),
+        lambda nan: OnOffSource("f", 1000, 100, 0.1, nan),
+        lambda nan: PacketTrainSource("f", 100, 5, nan, 1e6),
+        lambda nan: PacketTrainSource("f", 100, 5, 0.1, nan),
+    ], ids=["cbr-rate", "poisson-rate", "length", "onoff-peak", "onoff-on",
+            "onoff-off", "train-interval", "train-line-rate"])
+    def test_nan_parameter_rejected(self, make):
+        with pytest.raises(ConfigurationError):
+            make(float("nan"))
+
     def test_stop_before_start_rejected(self):
         with pytest.raises(ConfigurationError):
             CBRSource("f", 1000, 100, start_time=5, stop_time=4)
