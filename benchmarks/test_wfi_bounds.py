@@ -8,8 +8,9 @@ worst-case workload and on random backlog, and check
 * WFQ's and SCFQ's measured B-WFI grows ~linearly with N,
 * the H-WF2Q+ session B-WFI stays within Theorem 1's weighted sum,
 * every WFQ/WF2Q/WF2Q+ packet finishes within L_max/r of its GPS fluid
-  finish (the Parekh-Gallager bound), with the GPS side computed by the
-  batched :func:`~repro.analysis.fluid.fluid_finish_times` reference.
+  finish (the Parekh-Gallager bound), with the GPS side computed by
+  :func:`~repro.analysis.fluid.fluid_finish_times`, which drives the
+  online :class:`~repro.core.gps.GPSFluidSystem`.
 """
 
 from repro.analysis.bounds import hpfq_bwfi, wf2q_wfi

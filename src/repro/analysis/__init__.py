@@ -7,8 +7,9 @@
 * :mod:`repro.analysis.lag` — service-lag curves (Figure 5).
 * :mod:`repro.analysis.bandwidth` — throughput series with exponential
   averaging (Figure 9).
-* :mod:`repro.analysis.fluid` — batched GPS fluid reference (whole-trace
-  tags and finish times; numpy-accelerated with an exact online fallback).
+* :mod:`repro.analysis.fluid` — the GPS fluid reference for a whole
+  trace (virtual tags and real finish times from the online
+  :class:`~repro.core.gps.GPSFluidSystem`, exact under ``Fraction``).
 """
 
 from repro.analysis.bandwidth import exponential_average, throughput_series

@@ -554,8 +554,12 @@ class ServiceRunner:
 
         Pending commands apply first; boundary work (deferred detaches,
         idle-flow eviction, the checkpoint itself) runs between slices so
-        it never interleaves with event processing.
+        it never interleaves with event processing.  A ``target`` the
+        clock has passed fires no event; a NaN one raises
+        :class:`ConfigurationError`.
         """
+        if target != target:
+            raise ConfigurationError(f"cannot run to {target!r}")
         self.apply_pending()
         while True:
             end = target

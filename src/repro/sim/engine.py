@@ -300,6 +300,8 @@ class Simulator:
         """
         if self._running:
             raise SimulationError("run() is not reentrant")
+        if until != until:  # NaN: no event time compares against it
+            raise SimulationError("run horizon is NaN")
         self._running = True
         self._run_until = until
         self._inline_ok = inline
@@ -349,7 +351,8 @@ class Simulator:
         ``until`` even if the last event fires earlier (convenient for
         measurement windows).  A run cut short by ``max_events`` leaves
         the clock at the last event it fired, so a later run resumes from
-        there without moving time backwards.
+        there without moving time backwards.  A NaN ``until`` raises
+        :class:`SimulationError`.
         """
         if max_events is None:
             self._loop(until, -1, True)

@@ -33,32 +33,23 @@ __all__ = [
 class Source:
     """Base class: owns flow id, packet size, emission window, counters.
 
-    Emission runs on one of two equivalent paths:
-
-    * the classic path — every emission event calls :meth:`next_gap` to
-      compute the next one (virtual dispatch + RNG machinery per packet);
-    * the *timetable* path — arrival times are precomputed in chunks that
-      double from 1 up to :attr:`TIMETABLE_CHUNK` (see :meth:`_next_times`)
-      and each emission event just reads the next absolute time from the
-      array.
-
-    The timetable replicates the classic path's arithmetic operation for
-    operation (same floating-point chaining, same RNG draw order), so the
-    two produce bit-identical arrival streams; subclasses opt in by
-    setting ``TIMETABLE_CHUNK > 0``, which is only valid when the arrival
-    process does not depend on simulation state other than the previous
-    emission time.
+    Every emission event sends one packet and calls :meth:`next_gap` for
+    the time of the next one.  The event's callback is bound once per
+    source (``_emit_cb``), not once per emission.  A snapshot written
+    when sources pre-drew their arrival times may still carry some of
+    them; :meth:`restore` emits those first, then resumes
+    :meth:`next_gap`, so the arrival stream and the RNG draw order stay
+    the ones of an uninterrupted run.
     """
-
-    #: Largest refill of the precomputed-arrival fast path; 0 selects the
-    #: classic per-packet ``next_gap()`` path.
-    TIMETABLE_CHUNK = 0
 
     def __init__(self, flow_id, packet_length, start_time=0.0, stop_time=None):
         if not packet_length > 0:  # also True for NaN
             raise ConfigurationError(
                 f"packet_length must be positive, got {packet_length!r}"
             )
+        if start_time != start_time or (stop_time is not None
+                                        and stop_time != stop_time):
+            raise ConfigurationError("start_time and stop_time must not be NaN")
         if stop_time is not None and stop_time < start_time:
             raise ConfigurationError("stop_time precedes start_time")
         self.flow_id = flow_id
@@ -73,8 +64,9 @@ class Source:
         #: or after the source ran dry); lets :meth:`snapshot` capture the
         #: exact time of the pending emission without scanning the queue.
         self._pending = None
-        self._timetable = ()
-        self._timetable_idx = 0
+        self._emit_cb = self._emit
+        #: Arrival times a restored snapshot still owes, in order.
+        self._owed = ()
 
     def attach(self, sim, link):
         """Bind to a simulator and a link; call before :meth:`start`."""
@@ -86,13 +78,7 @@ class Source:
         """Schedule the first emission."""
         if self.sim is None:
             raise ConfigurationError("attach(sim, link) before start()")
-        if self.TIMETABLE_CHUNK > 0:
-            self._timetable = ()
-            self._timetable_idx = 0
-            self._pending = self.sim.schedule(self.start_time,
-                                              self._emit_timetable)
-        else:
-            self._pending = self.sim.schedule(self.start_time, self._emit)
+        self._pending = self.sim.schedule(self.start_time, self._emit_cb)
         return self
 
     # -- subclass API ----------------------------------------------------
@@ -109,57 +95,26 @@ class Source:
         self._send_packet(now)
         gap = self.next_gap()
         if gap is not None:
-            self._pending = self.sim.schedule(now + gap, self._emit)
+            self._pending = self.sim.schedule(now + gap, self._emit_cb)
         else:
             self._pending = None
 
-    def _emit_timetable(self):
-        """Emit one packet now; the next time comes from the chunk buffer.
+    def _emit_owed(self):
+        """Emit one packet now; the next time is the first one owed.
 
-        Refills are sized to demand: the first draws one arrival and each
-        later one twice the previous, capped at :attr:`TIMETABLE_CHUNK`,
-        so a source never holds more than twice what it has emitted.
-        Same ``_pending`` discipline as :meth:`_emit` — the handle is
-        re-armed or cleared on every exit, and a stopped source frees its
-        timetable.
+        The emission at the last owed time is an ordinary :meth:`_emit`,
+        which draws the next gap from there.
         """
         now = self.sim.now
         if self.stop_time is not None and now >= self.stop_time:
             self._pending = None
-            self._timetable = ()
+            self._owed = ()
             return
         self._send_packet(now)
-        i = self._timetable_idx
-        times = self._timetable
-        if i >= len(times):
-            times = self._timetable = self._next_times(
-                now, min(2 * len(times) or 1, self.TIMETABLE_CHUNK))
-            i = 0
-            if not times:  # ran dry: the empty refill replaced the table
-                self._pending = None
-                return
-        self._timetable_idx = i + 1
-        self._pending = self.sim.schedule(times[i], self._emit_timetable)
-
-    def _next_times(self, now, n):
-        """Up to ``n`` upcoming absolute emission times after ``now``.
-
-        The generic version chains :meth:`next_gap` calls, which is valid
-        whenever the gap process never reads the simulator clock (CBR,
-        Poisson, packet trains); clock-dependent processes must override
-        (see :class:`OnOffSource`) or stay on the classic path.
-        """
-        out = []
-        append = out.append
-        next_gap = self.next_gap
-        t = now
-        for _ in range(n):
-            gap = next_gap()
-            if gap is None:
-                break
-            t = t + gap
-            append(t)
-        return out
+        owed = self._owed
+        when = owed.pop(0)
+        self._pending = self.sim.schedule(
+            when, self._emit_owed if owed else self._emit_cb)
 
     def _send_packet(self, now, length=None):
         length = length if length is not None else self.packet_length
@@ -178,10 +133,12 @@ class Source:
     def snapshot(self):
         """Plain-data checkpoint of the emission state (picklable).
 
-        Captures the counters, the remaining precomputed timetable, the
-        RNG state (sources that draw randomness), and the absolute time of
-        the pending emission event — everything a fresh process needs to
-        resume the arrival stream bit-identically.  Restore into a source
+        Captures the counters, the RNG state (sources that draw
+        randomness), and the absolute time of the pending emission event
+        — everything a fresh process needs to resume the arrival stream
+        bit-identically.  ``timetable`` holds the arrival times a restored
+        snapshot still owes (usually none); the key and ``timetable_idx``
+        keep the file layout older readers expect.  Restore into a source
         built from the *same* constructor arguments (the configuration is
         not captured), attached to a simulator whose clock has not passed
         the pending emission: :meth:`restore` re-schedules it there.
@@ -198,8 +155,7 @@ class Source:
             "packets_sent": self.packets_sent,
             "bits_sent": self.bits_sent,
             "pending_time": pending_time,
-            # Only the unconsumed tail: emitted arrivals are history.
-            "timetable": list(self._timetable[self._timetable_idx:]),
+            "timetable": list(self._owed),
             "timetable_idx": 0,
             "extra": self._snapshot_extra(),
         }
@@ -211,7 +167,11 @@ class Source:
     def restore(self, snap):
         """Resume from a :meth:`snapshot`; re-schedules the pending emission.
 
-        Call after :meth:`attach` *instead of* :meth:`start`.
+        Call after :meth:`attach` *instead of* :meth:`start`.  Snapshots
+        of sources that pre-drew their arrivals hold the times still to
+        come after the pending one: either only those (``timetable_idx``
+        0) or the whole table and a cursor into it.  They are emitted
+        first, exactly as drawn; the RNG state already stands after them.
         """
         if snap["flow_id"] != self.flow_id:
             raise ConfigurationError(
@@ -222,19 +182,15 @@ class Source:
             raise ConfigurationError("attach(sim, link) before restore()")
         self.packets_sent = snap["packets_sent"]
         self.bits_sent = snap["bits_sent"]
-        # Older snapshots hold the whole timetable plus a cursor; keep
-        # only the tail either way.
-        self._timetable = list(snap["timetable"][snap["timetable_idx"]:])
-        self._timetable_idx = 0
+        self._owed = list(snap["timetable"][snap["timetable_idx"]:])
         rng_state = snap.get("rng")
         if rng_state is not None:
             self._rng.setstate(rng_state)
         self._restore_extra(snap["extra"])
         pending_time = snap["pending_time"]
         if pending_time is not None:
-            callback = (self._emit_timetable if self.TIMETABLE_CHUNK > 0
-                        else self._emit)
-            self._pending = self.sim.schedule(pending_time, callback)
+            self._pending = self.sim.schedule(
+                pending_time, self._emit_owed if self._owed else self._emit_cb)
         return self
 
     def _snapshot_extra(self):
@@ -248,8 +204,6 @@ class Source:
 class CBRSource(Source):
     """Constant bit rate: one packet every ``packet_length / rate`` seconds."""
 
-    TIMETABLE_CHUNK = 512
-
     def __init__(self, flow_id, rate, packet_length, start_time=0.0,
                  stop_time=None):
         super().__init__(flow_id, packet_length, start_time, stop_time)
@@ -260,23 +214,9 @@ class CBRSource(Source):
     def next_gap(self):
         return self.packet_length / self.rate
 
-    def _next_times(self, now, n):
-        # Chained addition (t + gap, not now + k*gap): identical floating
-        # point to the classic event-per-event accumulation.
-        gap = self.packet_length / self.rate
-        out = []
-        append = out.append
-        t = now
-        for _ in range(n):
-            t = t + gap
-            append(t)
-        return out
-
 
 class PoissonSource(Source):
     """Poisson arrivals with mean rate ``rate`` (bits/second)."""
-
-    TIMETABLE_CHUNK = 256
 
     def __init__(self, flow_id, rate, packet_length, seed=0, start_time=0.0,
                  stop_time=None):
@@ -290,21 +230,6 @@ class PoissonSource(Source):
         mean_gap = self.packet_length / self.rate
         return self._rng.expovariate(1.0 / mean_gap)
 
-    def _next_times(self, now, n):
-        # One draw per packet in the same order as next_gap(), with the
-        # per-call recomputation of the rate parameter hoisted (it is the
-        # same float every time).
-        mean_gap = self.packet_length / self.rate
-        lambd = 1.0 / mean_gap
-        expovariate = self._rng.expovariate
-        out = []
-        append = out.append
-        t = now
-        for _ in range(n):
-            t = t + expovariate(lambd)
-            append(t)
-        return out
-
 
 class OnOffSource(Source):
     """Deterministic on/off: CBR at ``peak_rate`` during on periods.
@@ -313,8 +238,6 @@ class OnOffSource(Source):
     Figure 3 is ``OnOffSource(..., on_duration=0.025, off_duration=0.075)``;
     the Figure 8 on/off sources toggle with second-scale periods.
     """
-
-    TIMETABLE_CHUNK = 256
 
     def __init__(self, flow_id, peak_rate, packet_length, on_duration,
                  off_duration, start_time=0.0, stop_time=None):
@@ -349,31 +272,6 @@ class OnOffSource(Source):
             # defer it to the start of the next on period.
             return cycle - phase
         return gap
-
-    def _next_times(self, now, n):
-        # The gap depends on the emission time (duty-cycle phase), so the
-        # generic gap-chaining precompute does not apply; this replays
-        # next_gap()'s arithmetic with the running timetable time in place
-        # of the simulator clock — operation for operation, including the
-        # boundary snap, so the times are bit-identical.
-        gap = self.packet_length / self.peak_rate
-        cycle = self.on_duration + self.off_duration
-        on = self.on_duration
-        start = self.start_time
-        snap = 1e-9 * cycle
-        out = []
-        append = out.append
-        t = now
-        for _ in range(n):
-            phase = (t - start) % cycle
-            if cycle - phase < snap:
-                phase = 0.0
-            if phase + gap >= on:
-                t = t + (cycle - phase)
-            else:
-                t = t + gap
-            append(t)
-        return out
 
 
 class IntervalSource(Source):
@@ -432,11 +330,6 @@ class PacketTrainSource(Source):
     ``train_interval`` seconds.  With ``jitter_seed`` set, intervals are
     uniformly jittered by +-``jitter`` to avoid perfect phase lock.
     """
-
-    #: The gap process reads only internal state (train position, jitter
-    #: RNG), never the simulator clock, so the generic gap-chaining
-    #: timetable applies as-is.
-    TIMETABLE_CHUNK = 256
 
     def __init__(self, flow_id, packet_length, train_length, train_interval,
                  line_rate, start_time=0.0, stop_time=None, jitter=0.0,
@@ -564,7 +457,7 @@ class TraceSource(Source):
         if i < n:
             # Keep the handle: snapshot() needs the pending emission time
             # to make the trace stream resumable after a checkpoint.
-            self._pending = self.sim.schedule(entries[i][0], self._emit)
+            self._pending = self.sim.schedule(entries[i][0], self._emit_cb)
         else:
             self._pending = None
 

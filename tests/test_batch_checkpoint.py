@@ -1,11 +1,10 @@
 """Batch APIs x checkpoint/restore: the interplay must stay exact.
 
-The batched enqueue/dequeue kernels keep derived columnar state next to
-the authoritative ``FlowState`` objects, and the Link's burst-drain path
-services whole chunks between simulator events.  None of that may leak
-into checkpoints: a snapshot taken mid-way through a batched workload
-must restore to packet-for-packet identical continuations — Fraction
-tags, conservation ledgers, source timetables, and fault timelines
+The ``drain_until`` kernels and the Link's burst-drain path service
+whole chunks between simulator events.  None of that may leak into
+checkpoints: a snapshot taken mid-way through a batched workload must
+restore to packet-for-packet identical continuations — Fraction tags,
+conservation ledgers, source emission state, and fault timelines
 included.
 """
 

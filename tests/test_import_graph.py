@@ -9,8 +9,8 @@ scheduler class its spec names, and the CLI parser loads neither the
 shard driver nor ``multiprocessing``.  Everything a run needs still loads
 while it is built, never for the first time inside its loop.
 
-numpy is an optional accelerator of ``repro.analysis.fluid`` and nothing
-else, so no other package may load it.
+The package has no third-party dependency, so no entry point may load
+numpy, ``repro.analysis`` included.
 
 Each check runs in a fresh interpreter, because the pytest process has
 already imported most of the package.
@@ -27,7 +27,7 @@ import pytest
 import repro
 
 MODULES = ("repro", "repro.sim", "repro.serve", "repro.shard", "repro.obs",
-           "repro.faults", "repro.experiments", "repro.cli")
+           "repro.faults", "repro.experiments", "repro.analysis", "repro.cli")
 
 #: The package ``__init__``s that export their names lazily.
 LAZY_PACKAGES = ("repro", "repro.core", "repro.obs", "repro.sim",

@@ -9,8 +9,14 @@ earlier version.  Checkpoint *file* defects (truncation,
 corruption, version skew) live in ``test_serve_recovery.py``.
 """
 
+import os
+import subprocess
+import sys
+import textwrap
+
 import pytest
 
+import repro
 from repro.core.packet import Packet
 from repro.errors import (
     CheckpointError,
@@ -30,6 +36,8 @@ from repro.serve import (
     supervise,
 )
 from repro.serve.soak import InjectedKill
+
+SRC = os.path.dirname(os.path.dirname(repro.__file__))
 
 
 def small_spec(flows=4, rate=1e6, duration=0.5, seed=7):
@@ -106,6 +114,27 @@ class TestStreamingLoop:
         assert runner.now == 0.0
         with pytest.raises(ConfigurationError):
             ServiceRunner(small_spec(), checkpoint_every=float("nan"))
+
+    def test_nan_run_to_rejected(self):
+        # In a child with a timeout: an unguarded run_to(nan) never ends.
+        code = textwrap.dedent("""
+            from repro.errors import ConfigurationError
+            from repro.serve import ServiceRunner, build_service_spec
+
+            runner = ServiceRunner(build_service_spec(flows=4, duration=0.5))
+            runner.run_to(0.01)
+            try:
+                runner.run_to(float("nan"))
+            except ConfigurationError:
+                print("rejected", runner.now)
+            runner.run_to(0.005)  # a target in the past fires nothing
+            print("past", runner.now)
+        """)
+        out = subprocess.run([sys.executable, "-c", code],
+                             capture_output=True, text=True, timeout=30,
+                             env=dict(os.environ, PYTHONPATH=SRC))
+        assert out.returncode == 0, out.stderr
+        assert out.stdout.split() == ["rejected", "0.01", "past", "0.01"]
 
     def test_network_spec_rejected(self):
         with pytest.raises(ConfigurationError):
@@ -372,6 +401,129 @@ class TestLegacyCheckpoint:
         assert baseline.digest == LEGACY_FINAL_DIGEST
         assert survivor.digest == baseline.digest
         assert survivor.trace.rows == baseline.trace.rows == 5
+        assert survivor.link.scheduler.conservation()["balanced"]
+
+
+#: A serve checkpoint payload written when sources pre-drew their
+#: arrival times, taken at the t=0.03 boundary of
+#: ``build_service_spec(flows=2, rate=1e6, duration=0.1, seed=3,
+#: waves=1)`` with ``checkpoint_every=0.01``.  Each CBR source still owes
+#: one pre-drawn time after its pending emission.
+PARENT_TIMETABLE_CHECKPOINT = {
+    "kind": "serve",
+    "spec": {
+        "cell": "serve-soak", "kind": "flat",
+        "scheduler": {
+            "kind": "flat", "policy": "wf2qplus", "rate": 1000000.0,
+            "flows": [("f0000", 1), ("f0001", 2)],
+        },
+        "sources": [
+            {
+                "type": "cbr", "flow": "f0000", "length": 8000.0,
+                "rate": 450000.0, "start": 0.002379646270918914,
+                "stop": 0.08237964627091893,
+            },
+            {
+                "type": "cbr", "flow": "f0001", "length": 8000.0,
+                "rate": 450000.0, "start": 0.005442292252959519,
+                "stop": 0.08544229225295953,
+            },
+        ],
+        "faults": [],
+    },
+    "clock": 0.03,
+    "link": {
+        "transmitting": True, "paused": False, "bits_sent": 24000.0,
+        "packets_sent": 3, "packets_dropped": 0, "busy_time": 0.024,
+        "current": {
+            "packet": {
+                "uid": 3, "flow_id": "f0001", "length": 8000.0,
+                "arrival_time": 0.023220070030737297, "seqno": 1,
+                "payload": None,
+            },
+            "start_time": 0.028157424048696693,
+            "finish_time": 0.03615742404869669,
+            "virtual_start": 0.0030626459820406043,
+            "virtual_finish": 0.015062645982040605,
+        },
+        "scheduler": {
+            "scheduler": "WF2Q+", "rate": 1000000.0,
+            "clock": 0.028157424048696693, "free_at": 0.03615742404869669,
+            "tag_epoch": 2, "next_flow_index": 2, "arrivals": 4, "enqueues": 4,
+            "dequeues": 4, "drops": {}, "drops_total": 0, "drops_lifetime": 0,
+            "backlog_packets": 0, "backlog_bits": 0.0, "buffer_limits": {},
+            "drop_policies": {}, "shared_limit": None, "shared_policy": "tail",
+            "batch_calls": 0, "batch_packets": 0,
+            "batch_hist": [0, 0, 0, 0, 0],
+            "flows": {
+                "f0000": {
+                    "queue": [], "start_tag": 0, "finish_tag": 0.024,
+                    "bits_queued": 0.0, "index": 0, "tag_epoch": 2, "share": 1,
+                },
+                "f0001": {
+                    "queue": [], "start_tag": 0.0030626459820406043,
+                    "finish_tag": 0.015062645982040605, "bits_queued": 0.0,
+                    "index": 1, "tag_epoch": 2, "share": 2,
+                },
+            },
+            "evicted": {},
+            "extra": {
+                "virtual": 0.008, "virtual_stamp": 0.028157424048696693,
+                "eligible": {"seq": 4, "entries": []},
+                "ineligible": {"seq": 0, "entries": []},
+            },
+        },
+    },
+    "sources": [
+        {
+            "flow_id": "f0000", "packets_sent": 2, "bits_sent": 16000.0,
+            "pending_time": 0.037935201826474474,
+            "timetable": [0.055712979604252255], "timetable_idx": 0,
+            "extra": None,
+        },
+        {
+            "flow_id": "f0001", "packets_sent": 2, "bits_sent": 16000.0,
+            "pending_time": 0.04099784780851508,
+            "timetable": [0.05877562558629286], "timetable_idx": 0,
+            "extra": None,
+        },
+    ],
+    "digest": {
+        "digest": ("065b749aadd77b7d9f23ddc935ae3795"
+                   "c0a0f5d4d9e5811c806a59fc3f1edaf7"),
+        "rows": 3, "arrivals": 4,
+        "last_active": {"f0000": 0.028157424048696693,
+                        "f0001": 0.023220070030737297},
+    },
+    "ingress": {"blocked": [], "dropped": 0},
+    "quarantine": {"pending": [], "done": []},
+    "stats": {"commands": 0, "checkpoints": 2, "recoveries": 0},
+}
+
+#: The digest of that workload run uninterrupted to t=0.1 (10 rows).
+PARENT_TIMETABLE_FINAL_DIGEST = ("53c0185c11faa4f43f3249459c5111c0"
+                                 "ae8706d98748325ed2178db6ebeb395e")
+
+
+class TestParentTimetableCheckpoint:
+    def test_recovers_and_continues_to_the_uninterrupted_digest(
+            self, tmp_path):
+        save_checkpoint(tmp_path / "ckpt-00000003.bin",
+                        PARENT_TIMETABLE_CHECKPOINT)
+        survivor = ServiceRunner.recover(tmp_path, checkpoint_every=0.01)
+        assert survivor.now == 0.03
+        assert [s.snapshot()["timetable"] for s in survivor.sources] == [
+            [0.055712979604252255], [0.05877562558629286]]
+        survivor.run_to(0.1)
+
+        spec = build_service_spec(flows=2, rate=1e6, duration=0.1, seed=3,
+                                  waves=1)
+        baseline = ServiceRunner(spec, checkpoint_every=0.01)
+        baseline.run_to(0.1)
+        assert baseline.digest == PARENT_TIMETABLE_FINAL_DIGEST
+        assert survivor.digest == baseline.digest
+        assert survivor.trace.rows == baseline.trace.rows == 10
+        assert [s.packets_sent for s in survivor.sources] == [5, 5]
         assert survivor.link.scheduler.conservation()["balanced"]
 
 

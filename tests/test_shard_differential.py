@@ -15,7 +15,7 @@ what it *computes*.  These tests pin that down three ways:
 
 Plus the layer the migration guarantee rests on: traffic-source
 snapshot/restore reproduces the uninterrupted emission stream exactly
-(timetables, seqnos, and RNG state for the stochastic sources).
+(pending emission, seqnos, and RNG state for the stochastic sources).
 """
 
 import multiprocessing

@@ -80,6 +80,28 @@ class TestRun:
         sim.run()
         assert out == [1, 5]
 
+    @pytest.mark.parametrize("run", [
+        lambda sim, until: sim.run(until=until),
+        lambda sim, until: sim.run(until=until, max_events=5),
+        lambda sim, until: sim.run_guarded(until),
+        lambda sim, until: sim.run_guarded(until, max_wall=10.0),
+    ], ids=["run", "run-max-events", "run-guarded", "run-guarded-wall"])
+    def test_nan_horizon_rejected(self, run):
+        sim = Simulator()
+        out = []
+        sim.schedule(1.0, out.append, 1)
+        sim.schedule(5.0, out.append, 5)
+        with pytest.raises(SimulationError):
+            run(sim, float("nan"))
+        assert out == []
+        assert sim.now == 0.0
+        # The simulator is still usable, and a past horizon is a no-op.
+        run(sim, 3.0)
+        assert out == [1]
+        run(sim, 2.0)
+        assert out == [1]
+        assert sim.now == 3.0
+
     def test_max_events(self):
         sim = Simulator()
         out = []
