@@ -1,147 +1,299 @@
-"""The O(log N) complexity claim (paper contribution (c)).
+"""The O(log N) complexity claim (paper contribution (c)), counted.
 
-Measures per-packet scheduling cost (enqueue + dequeue through a saturated
-server) as the number of sessions N grows, via the :mod:`repro.bench`
-harness (best-of-repeats wall-clock timing):
+WF2Q+ does O(log N) work per packet, and H-WF2Q+ does that work once per
+node on the packet's path.  The tests count the work instead of timing
+it: every scheduler here changes its priority queues only through
+:class:`~repro.dstruct.heap.IndexedHeap`, so patching the three
+:mod:`heapq` calls that module makes (``heappush``, ``heappop``,
+``heapreplace``) to add ``log2(max(2, len(heap)))`` per call charges
+each sift its depth.  Counts are deterministic, so the bounds are tight
+and the series in ``benchmarks/results/complexity_*.txt`` are rewritten
+byte for byte by every run.
 
-* WF2Q+'s cost grows ~logarithmically (heap operations only) — asserted
-  as a *ratio* between the largest and smallest N, with a CI-safe margin:
-  64x more flows must cost far less than 64x per packet;
-* a busy-period boundary must cost O(1), not O(N): the bursty on/off
-  workload's per-packet cost may not grow materially across a 64x sweep
-  of the registered population;
-* WFQ's *worst-case* cost is O(N): a single GPS advance can process O(N)
-  session-empty events (surfaced with the all-sessions-drain-at-once
-  workload; recorded, sanity-checked only).
+* flat WF2Q+ under saturated churn: work per packet <= A*log2(N) + B;
+* a busy-period boundary costs O(1): bursts over 8 of N registered flows
+  do the same work per packet at every N, counting each write of a
+  flow's start tag too, which a busy-period tag reset makes;
+* H-WF2Q+ on balanced trees: work per packet <= A*depth*log2(fanout) + B,
+  and the work per level does not grow with depth;
+* WFQ's exact GPS pays O(N): one advance handles the session-empty
+  events of all N sessions that drain together.
 
-The measured points are written as plot series
-(``benchmarks/results/complexity_*.txt``).  The one bench baseline is the
-repo-root ``BENCH_core.json``, whose ``saturated_churn`` and
-``bursty_onoff`` families run the same drivers; diff a fresh run against
-it with ``python -m repro bench --compare BENCH_core.json``.
-
-pytest-benchmark times the WF2Q+ steady-state path directly (the one
-true micro-benchmark in the suite).
+The teeth: a node policy that selects by scanning its children, charged
+to the same counter, breaks both bounds, as a one-level tree (a flat
+scheduler) and inside deeper trees; and a WF2Q+ that zeroes every flow's
+tags when a busy period starts does work per packet that grows with N.
 """
 
-import time
+from fractions import Fraction
+from math import log2
 
-from repro.bench import BenchPoint, format_table
-from repro.bench.harness import best_of
-from repro.bench.scenarios import bursty_cost, churn_cost
+import pytest
+
+import repro.dstruct.heap as heap_module
+from repro.config.hierarchy_spec import leaf, node
+from repro.core.hierarchy import HPFQScheduler, NodePolicy
 from repro.core.packet import Packet
-from repro.core.scfq import SCFQScheduler
+from repro.core.scheduler import FlowState
 from repro.core.wf2qplus import WF2QPlusScheduler
 from repro.core.wfq import WFQScheduler
 
-SIZES = (16, 64, 256, 1024)
+from benchmarks.conftest import run_once
+
+#: Work per packet <= A * (sum over the path of log2(fanout)) + B.
+A, B = 3.5, 4
+
+LENGTH = 8000          # bits; an int, so H-WF2Q+ domains count quanta
+RATE = Fraction(10**9)
+
+FLAT_SIZES = (16, 64, 256, 1024, 4096)
+#: depth x fanout, capped at 4096 leaves.
+GRID = [(depth, fanout) for depth in (1, 2, 3, 4)
+        for fanout in (2, 4, 8, 16, 32, 64) if fanout ** depth <= 4096]
 
 
-def make(cls, n_flows):
-    sched = cls(rate=1e9)
-    for f in range(n_flows):
-        sched.add_flow(f, 1 + (f % 3))
+class Work:
+    """The shared counter: heap sifts and linear scans add to ``total``."""
+
+    total = 0.0
+
+
+@pytest.fixture
+def counted_heaps(monkeypatch):
+    """Charge every heapq call IndexedHeap makes its log2 sift depth."""
+    for name in ("heappush", "heappop", "heapreplace"):
+        op = getattr(heap_module, name)
+
+        def call(heap, *args, op=op):
+            Work.total += log2(max(2, len(heap)))
+            return op(heap, *args)
+
+        monkeypatch.setattr(heap_module, name, call)
+    Work.total = 0.0
+
+
+@pytest.fixture
+def counted_tag_writes(monkeypatch):
+    """Also charge 1 for every write of a flow's start tag."""
+    slot = FlowState.start_tag
+
+    class Counted:
+        def __get__(self, obj, cls=None):
+            return slot if obj is None else slot.__get__(obj, cls)
+
+        def __set__(self, obj, value):
+            Work.total += 1
+            slot.__set__(obj, value)
+
+    monkeypatch.setattr(FlowState, "start_tag", Counted())
+
+
+class EagerResetWF2QPlus(WF2QPlusScheduler):
+    """WF2Q+ that zeroes every flow's tags when a busy period starts,
+    instead of bumping the epoch that zeroes each flow on its next use."""
+
+    def _on_enqueue(self, state, packet, now, was_flow_empty, was_idle):
+        if was_idle and now >= self._free_at:
+            for other in self._flows.values():
+                other.start_tag = other.finish_tag = 0
+        super()._on_enqueue(state, packet, now, was_flow_empty, was_idle)
+
+
+class LinearScanPolicy(NodePolicy):
+    """H-WF2Q+'s node selection (SEFF, V = max(V, Smin) + L/r) done by
+    scanning every headed child; each scan is charged to the counter."""
+
+    name = "linear-scan"
+
+    def __init__(self, node_obj):
+        super().__init__(node_obj)
+        self._headed = {}
+        self._threshold = 0
+
+    def child_head_set(self, child):
+        self._headed[child] = None
+
+    def child_head_cleared(self, child):
+        self._headed.pop(child, None)
+
+    def select(self):
+        headed = self._headed
+        Work.total += len(headed)
+        if not headed:
+            return None
+        threshold = max(self.node.virtual,
+                        min(child.start_tag for child in headed))
+        self._threshold = threshold
+        return min((child for child in headed
+                    if child.start_tag <= threshold),
+                   key=lambda child: (child.finish_tag, child.child_index))
+
+    def on_select(self, child, length):
+        node_obj = self.node
+        node_obj.virtual = self._threshold + node_obj.own_span(length)
+        node_obj.served += length
+
+
+def flat(n, cls=WF2QPlusScheduler):
+    sched = cls(RATE)
+    for f in range(n):
+        sched.add_flow(f, 1 + f % 3)
     return sched
 
 
-def _measure_sweep(cost_fn, label, **kwargs):
-    """One BenchPoint per N in SIZES using the repro.bench drivers."""
-    points = []
-    for n in SIZES:
-        cost = best_of(
-            lambda: cost_fn(lambda: make(WF2QPlusScheduler, n), **kwargs),
-            repeats=3)
-        points.append(BenchPoint(label, "WF2Q+", {"flows": n},
-                                 kwargs.get("packets", 0), cost))
-    return points
+def tree(depth, fanout, policy="wf2qplus"):
+    """A balanced H-PFQ tree with ``fanout ** depth`` leaves."""
+    names = iter(range(fanout ** depth))
+
+    def build(level, label):
+        if level == depth:
+            name = next(names)
+            return leaf(name, 1 + name % 3)
+        return node(label, 1, [build(level + 1, f"{label}.{k}")
+                               for k in range(fanout)])
+
+    return HPFQScheduler(build(0, "root"), RATE, policy=policy)
 
 
-def test_wf2qplus_scaling_is_sublinear(benchmark, results_writer):
-    points = benchmark.pedantic(
-        _measure_sweep, args=(churn_cost, "saturated_churn"),
-        kwargs={"packets": 3000}, rounds=1, iterations=1, warmup_rounds=0)
+def churn_work(sched, packets, backlog=2):
+    """Work per packet of saturated churn: every flow starts with
+    ``backlog`` packets and is sent a new one each time it is served."""
+    for fid in sched.flow_ids:
+        for _ in range(backlog):
+            sched.enqueue(Packet(fid, LENGTH), now=0)
+    Work.total = 0.0
+    for _ in range(packets):
+        rec = sched.dequeue()
+        sched.enqueue(Packet(rec.flow_id, LENGTH), now=rec.finish_time)
+    return Work.total / packets
+
+
+def bursty_work(sched, bursts=150, burst_flows=8, per_flow=2):
+    """Work per packet of bursts that each backlog ``burst_flows`` flows
+    (rotating through the population) and then drain the system, so
+    every burst starts a new busy period."""
+    flow_ids = sched.flow_ids
+    n = len(flow_ids)
+    now = 0
+    Work.total = 0.0
+    for b in range(bursts):
+        for j in range(burst_flows):
+            fid = flow_ids[(b * burst_flows + j) % n]
+            for _ in range(per_flow):
+                sched.enqueue(Packet(fid, LENGTH), now=now)
+        while not sched.is_empty:
+            rec = sched.dequeue()
+        now = rec.finish_time + 1
+    return Work.total / (bursts * burst_flows * per_flow)
+
+
+def wfq_boundary_events(n):
+    """Session-empty events one GPS advance handles after n WFQ sessions
+    with equal shares and lengths were served: their fluid service all
+    ends at one instant, when the packet system sends its last bit."""
+    sched = WFQScheduler(RATE)
+    for f in range(n):
+        sched.add_flow(f, 1)
+    for f in range(n):
+        sched.enqueue(Packet(f, LENGTH), now=0)
+    while not sched.is_empty:
+        rec = sched.dequeue()
+    gps = sched.gps
+    backlogged = len(gps.backlogged_flows())
+    # Past that instant: int shares give float GPS tags, which can land
+    # just after the exact Fraction time.
+    gps.advance(rec.finish_time + 1)
+    return backlogged - len(gps.backlogged_flows())
+
+
+def bound(levels):
+    """A * sum(log2 fanout) + B for a path through ``levels`` fanouts."""
+    return A * sum(log2(fanout) for fanout in levels) + B
+
+
+def flat_series(build, sizes=FLAT_SIZES):
+    return [(n, churn_work(build(n), max(3000, 2 * n))) for n in sizes]
+
+
+def grid_series(policy):
+    """One packet per leaf, re-enqueued when served, until every leaf
+    has been served twice."""
+    return [(depth, fanout, churn_work(tree(depth, fanout, policy),
+                                       2 * fanout ** depth, backlog=1))
+            for depth, fanout in GRID]
+
+
+def test_wf2qplus_work_is_logarithmic(benchmark, counted_heaps,
+                                      results_writer):
+    series = run_once(benchmark, flat_series, flat)
     results_writer("complexity_wf2qplus.txt", [
-        "# WF2Q+ per-packet cost vs N (nanoseconds)",
-        *(f"{p.params['flows']:5d} {p.ns_per_packet:.3e}" for p in points),
+        "# WF2Q+ saturated churn: heap work per packet (sum of log2 heap"
+        " size) vs N",
+        *(f"{n:5d} {work:.3f}" for n, work in series),
     ])
-    print(format_table(points))
-    # Ratio-based, CI-safe: 64x more flows must cost far less than 64x
-    # per packet (log-ish growth; 8x leaves room for timer noise while
-    # still failing hard on accidental O(N) behaviour).
-    ratio = points[-1].ns_per_packet / points[0].ns_per_packet
-    assert ratio < 8, (ratio, points)
+    for n, work in series:
+        assert work <= bound([n]), (n, work)
 
 
-def test_wf2qplus_busy_period_boundary_is_constant(benchmark,
+def test_wf2qplus_busy_period_boundary_is_constant(benchmark, counted_heaps,
+                                                   counted_tag_writes,
                                                    results_writer):
-    """Epoch-based lazy tag reset: boundaries cost O(1), not O(N).
-
-    Each burst backlogs 8 of N registered flows and then drains, so every
-    burst crosses a busy-period boundary.  With the old eager O(N) tag
-    sweep the per-packet cost grew linearly in the *registered*
-    population; with the epoch counter it must stay flat.
-    """
-    points = benchmark.pedantic(
-        _measure_sweep, args=(bursty_cost, "bursty_onoff"),
-        kwargs={"bursts": 150}, rounds=1, iterations=1, warmup_rounds=0)
+    """Epoch-based lazy tag reset: a boundary costs O(1), not O(N)."""
+    series = run_once(benchmark, lambda: [(n, bursty_work(flat(n)))
+                                          for n in FLAT_SIZES])
     results_writer("complexity_bursty.txt", [
-        "# WF2Q+ bursty on/off per-packet cost vs registered N (ns)",
-        *(f"{p.params['flows']:5d} {p.ns_per_packet:.3e}" for p in points),
+        "# WF2Q+ bursts of 8 flows: heap work plus start-tag writes per"
+        " packet vs registered N",
+        *(f"{n:5d} {work:.3f}" for n, work in series),
     ])
-    # 64x more registered flows, same burst size: cost must not grow
-    # materially (2.5x margin absorbs CI noise; O(N) would blow far past).
-    ratio = points[-1].ns_per_packet / points[0].ns_per_packet
-    assert ratio < 2.5, (ratio, points)
+    assert max(work for _n, work in series) <= series[0][1], series
 
 
-def test_wfq_busy_period_boundary_is_linear_in_n(benchmark, results_writer):
-    """WFQ's GPS tracking pays O(N) at simultaneous session drains."""
-    sizes = [16, 64, 256]
-    rows = []
+def test_hwf2qplus_work_is_logarithmic_per_level(benchmark, counted_heaps,
+                                                 results_writer):
+    series = run_once(benchmark, grid_series, "wf2qplus")
+    results_writer("complexity_hwf2qplus.txt", [
+        "# H-WF2Q+ balanced trees: heap work per packet, and per level,"
+        " vs depth x fanout",
+        "# depth fanout leaves work/pkt work/level",
+        *(f"{d} {f:3d} {f ** d:5d} {work:8.3f} {work / d:7.3f}"
+          for d, f, work in series),
+    ])
+    for depth, fanout, work in series:
+        assert work <= bound([fanout] * depth), (depth, fanout, work)
+    per_level = {}
+    for depth, fanout, work in series:
+        per_level.setdefault(fanout, []).append(work / depth)
+    for fanout, levels in per_level.items():
+        assert max(levels) <= levels[0], (fanout, levels)
 
-    def sweep():
-        for n in sizes:
-            sched = make(WFQScheduler, n)
-            # All sessions get one packet; the GPS system then drains them
-            # all at the same virtual instant -> one advance touches N
-            # session-empty events.
-            t0 = time.perf_counter()
-            for f in range(n):
-                sched.enqueue(Packet(f, 100.0), now=0.0)
-            while not sched.is_empty:
-                sched.dequeue()
-            rows.append((n, time.perf_counter() - t0))
 
-    benchmark.pedantic(sweep, rounds=1, iterations=1, warmup_rounds=0)
+def test_wfq_boundary_work_is_linear_in_n(benchmark, results_writer):
+    """WFQ's exact GPS pays O(N) when all N sessions drain together."""
+    rows = run_once(benchmark, lambda: [(n, wfq_boundary_events(n))
+                                        for n in (16, 64, 256, 1024)])
     results_writer("complexity_wfq.txt", [
-        "# WFQ whole-burst cost vs N (seconds)",
-        *(f"{n:5d} {c:.3e}" for n, c in rows),
+        "# WFQ: session-empty events handled by one GPS advance vs N",
+        *(f"{n:5d} {events}" for n, events in rows),
     ])
-    # Just a sanity check that it completes and grows with N.
-    assert rows[-1][1] > 0
+    assert all(events == n for n, events in rows), rows
 
 
-def test_wf2qplus_steady_state_throughput(benchmark):
-    """The headline micro-benchmark: WF2Q+ enqueue+dequeue at N=256."""
-    sched = make(WF2QPlusScheduler, 256)
-    for f in range(256):
-        sched.enqueue(Packet(f, 100.0), now=0.0)
-
-    def churn():
-        rec = sched.dequeue()
-        sched.enqueue(Packet(rec.flow_id, 100.0), now=rec.finish_time)
-
-    benchmark(churn)
+def test_linear_scan_breaks_the_flat_bound(counted_heaps):
+    """A one-level tree selecting by linear scan: O(N) per packet."""
+    series = flat_series(lambda n: tree(1, n, LinearScanPolicy),
+                         sizes=(16, 64, 256))
+    assert any(work > bound([n]) for n, work in series), series
 
 
-def test_scfq_steady_state_throughput(benchmark):
-    """SCFQ is the O(1)-virtual-time baseline to compare against."""
-    sched = make(SCFQScheduler, 256)
-    for f in range(256):
-        sched.enqueue(Packet(f, 100.0), now=0.0)
+def test_linear_scan_breaks_the_per_level_bound(counted_heaps):
+    series = grid_series(LinearScanPolicy)
+    assert any(work > bound([fanout] * depth)
+               for depth, fanout, work in series), series
 
-    def churn():
-        rec = sched.dequeue()
-        sched.enqueue(Packet(rec.flow_id, 100.0), now=rec.finish_time)
 
-    benchmark(churn)
+def test_eager_tag_reset_breaks_the_boundary_bound(counted_heaps,
+                                                   counted_tag_writes):
+    series = [(n, bursty_work(flat(n, EagerResetWF2QPlus)))
+              for n in FLAT_SIZES]
+    assert max(work for _n, work in series) > series[0][1], series

@@ -11,9 +11,6 @@ Usage (also via ``python -m repro``)::
     python -m repro stats --pipeline --packets 50000
     python -m repro sim --scenario cbr_flat --shards 4 --verify
     python -m repro sim --scenario hier --shards 2 --migrate-at 0.005
-    python -m repro bench -o BENCH_core.json
-    python -m repro bench --quick --compare BENCH_core.json \
-        --report regressions.json
     python -m repro chaos
     python -m repro chaos --scenario link_flap --scheduler hwf2qplus
 
@@ -316,109 +313,6 @@ def _cmd_serve(args):
     return 0
 
 
-def _cmd_bench(args):
-    from repro.bench import (
-        SCENARIOS,
-        compare,
-        format_compare,
-        format_table,
-        load,
-        merge_best,
-        run_scenarios,
-        save,
-        to_payload,
-    )
-    from repro.bench.parallel import run_scenarios_parallel
-
-    if args.report and not args.compare:
-        print("repro bench: --report requires --compare "
-              "(it records the regression table)")
-        return 2
-    names = args.scenario or None
-    try:
-        if args.jobs > 1:
-            points = run_scenarios_parallel(
-                names=names, quick=args.quick, jobs=args.jobs,
-                progress=lambda name: print(f"finished {name} ..."))
-        else:
-            points = run_scenarios(
-                names=names, quick=args.quick,
-                progress=lambda name: print(f"running {name} ..."))
-    except ValueError as exc:
-        print(f"repro bench: {exc}")
-        return 2
-    print()
-    print(format_table(points))
-    if args.output:
-        payload = save(points, args.output)
-        print(f"\nwrote {len(points)} points to {args.output}")
-    else:
-        payload = to_payload(points)
-    if args.compare:
-        try:
-            baseline = load(args.compare)
-        except (OSError, ValueError, KeyError) as exc:
-            print(f"repro bench: cannot load baseline: {exc}")
-            return 2
-        overrides = {}
-        for spec in args.threshold_scenario or ():
-            name, sep, value = spec.partition("=")
-            try:
-                if not sep:
-                    raise ValueError
-                overrides[name] = float(value)
-            except ValueError:
-                print(f"repro bench: bad --threshold-scenario {spec!r} "
-                      "(expected NAME=FRACTION)")
-                return 2
-        rows, regressions = compare(baseline, payload,
-                                    threshold=args.threshold,
-                                    scenario_thresholds=overrides)
-        if regressions:
-            # Re-measure the regressed scenarios once before failing:
-            # on shared runners a single sample of a cheap point can be
-            # off by far more than the threshold.  The minimum per point
-            # wins (noise only ever adds time).
-            retry = sorted({r["scenario"] for r in regressions}
-                           & set(SCENARIOS))
-            if retry:
-                print(f"\npossible regression; re-measuring {retry} "
-                      "to rule out timer noise ...")
-                points = merge_best(
-                    points, run_scenarios(names=retry, quick=args.quick))
-                if args.output:
-                    payload = save(points, args.output)
-                else:
-                    payload = to_payload(points)
-                rows, regressions = compare(
-                    baseline, payload, threshold=args.threshold,
-                    scenario_thresholds=overrides)
-        print()
-        print(f"comparison against {args.compare} "
-              f"(rev {baseline.get('git_rev', '?')}):")
-        print(format_compare(rows, threshold=args.threshold))
-        if args.report:
-            import json
-
-            report = {
-                "baseline": args.compare,
-                "baseline_rev": baseline.get("git_rev", "?"),
-                "current_rev": payload.get("git_rev", "?"),
-                "threshold": args.threshold,
-                "scenario_thresholds": overrides,
-                "ok": not regressions,
-                "regressions": len(regressions),
-                "rows": rows,
-            }
-            with open(args.report, "w", encoding="utf-8") as fh:
-                json.dump(report, fh, indent=2)
-                fh.write("\n")
-            print(f"\nwrote per-scenario regression table to {args.report}")
-        if regressions:
-            return 1
-    return 0
-
-
 def _cmd_chaos(args):
     import json
 
@@ -683,36 +577,6 @@ def build_parser():
     p_serve.add_argument("--kills", type=_positive_int, default=3,
                          help="hard kills to inject during --soak")
     p_serve.set_defaults(func=_cmd_serve)
-
-    p_bench = sub.add_parser(
-        "bench",
-        help="run the perf harness; optionally compare to a baseline JSON")
-    p_bench.add_argument("--scenario", action="append", metavar="NAME",
-                         help="run only this scenario (repeatable); "
-                              "default: all")
-    p_bench.add_argument("--quick", action="store_true",
-                         help="CI-sized workloads (same points, fewer "
-                              "packets/repeats)")
-    p_bench.add_argument("-o", "--output", metavar="OUT.JSON", default=None,
-                         help="write the results as a bench JSON document")
-    p_bench.add_argument("--compare", metavar="BASELINE.JSON", default=None,
-                         help="compare against a baseline; exit 1 on "
-                              "regression")
-    p_bench.add_argument("--threshold", type=float, default=0.25,
-                         help="regression threshold as a fraction "
-                              "(default 0.25 = +25%%)")
-    p_bench.add_argument("--threshold-scenario", action="append",
-                         metavar="NAME=FRAC", default=None,
-                         help="override the threshold for one scenario "
-                              "(repeatable), e.g. sharded_pipeline=0.6")
-    p_bench.add_argument("--jobs", type=_positive_int, default=1,
-                         metavar="N",
-                         help="run scenarios across N worker processes "
-                              "(same points and ordering as --jobs 1)")
-    p_bench.add_argument("--report", metavar="OUT.JSON", default=None,
-                         help="with --compare: also write the per-scenario "
-                              "regression table as machine-readable JSON")
-    p_bench.set_defaults(func=_cmd_bench)
 
     from repro.faults.chaos import CHAOS_SCHEDULERS
     from repro.faults.chaos import SCENARIOS as CHAOS_SCENARIOS

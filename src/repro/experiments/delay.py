@@ -46,7 +46,6 @@ __all__ = [
     "build_fig3_spec",
     "build_sources",
     "run_delay_experiment",
-    "run_delay_sweep",
 ]
 
 #: Link rate (bits/second).
@@ -165,30 +164,3 @@ def run_delay_experiment(policy, scenario, duration=5.0, seed=1):
     sim.run(until=duration)
     return trace
 
-
-def _delay_sweep_worker(job):
-    """Top-level (spawn-picklable) worker: one policy's RT-1 delay series."""
-    policy, scenario, duration, seed = job
-    trace = run_delay_experiment(policy, scenario, duration=duration,
-                                 seed=seed)
-    return list(trace.delays("RT-1"))
-
-
-def run_delay_sweep(policies, scenario, duration=5.0, seed=1, jobs=None):
-    """RT-1 delay series for several node policies on one scenario.
-
-    The Figures 4-7 cross-policy comparison: returns
-    ``{policy: [(t, delay), ...]}``.  ``jobs`` fans the independent
-    simulations out over worker processes via
-    :func:`repro.bench.parallel.parallel_map`; each worker reuses the
-    same ``seed``, so the traffic is identical across policies and jobs
-    levels (the default runs inline).
-    """
-    from repro.bench.parallel import parallel_map
-
-    policies = list(policies)
-    series = parallel_map(
-        _delay_sweep_worker,
-        [(policy, scenario, duration, seed) for policy in policies],
-        jobs=jobs)
-    return dict(zip(policies, series))

@@ -69,21 +69,15 @@ def fig2_gps_departures():
     return [(p.flow_id, p.finish_time) for p in gps.finish_order()]
 
 
-def run_fig2(scheduler_classes, jobs=None):
+def run_fig2(scheduler_classes):
     """Run the example under several schedulers plus GPS.
 
     Returns ``{"GPS": [(flow, finish)], name: [(flow, start, finish)], ...}``
-    keyed by each scheduler's ``name``.  ``jobs`` fans the per-scheduler
-    runs out over worker processes (scheduler classes and the exact
-    Fraction timelines both pickle); the default runs inline.
+    keyed by each scheduler's ``name``.
     """
-    from repro.bench.parallel import parallel_map
-
-    scheduler_classes = list(scheduler_classes)
     out = {"GPS": fig2_gps_departures()}
-    schedules = parallel_map(fig2_schedule, scheduler_classes, jobs=jobs)
-    for cls, schedule in zip(scheduler_classes, schedules):
-        out[cls.name] = schedule
+    for cls in scheduler_classes:
+        out[cls.name] = fig2_schedule(cls)
     return out
 
 

@@ -6,8 +6,7 @@ four partitioning rules are represented:
 
 ``cbr_flat``
     Disjoint CBR flow groups, one WF2Q+ link per group — the flow-set
-    partition, and the throughput workload of the ``sharded_pipeline``
-    bench.
+    partition.
 ``poisson_mix``
     Same shape with Poisson sources; per-source seeds are fixed into the
     spec at build time via the collision-safe :func:`scenario_seed`, so
@@ -48,10 +47,10 @@ _INDEX_MIX = 0x9E3779B9
 def scenario_seed(name, index=0, base=_SEED_BASE):
     """Deterministic 32-bit seed for a scenario.
 
-    Derived from the scenario *name* (crc32) mixed with its *index* in
-    the request, so two distinct names with colliding checksums cannot
-    share a seed within one sweep.  ``index=0`` (the default) keeps the
-    historical name-only seeds for single-scenario callers.
+    Derived from the *name* (crc32) mixed with its *index*, so two
+    distinct names with colliding checksums cannot share a seed when
+    their indices differ (``poisson_mix`` passes each flow's position).
+    ``index=0`` (the default) gives the name-only seed.
     """
     mixed = zlib.crc32(name.encode("utf-8")) ^ base
     mixed ^= (index * _INDEX_MIX) & 0xFFFFFFFF

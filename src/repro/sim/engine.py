@@ -358,6 +358,8 @@ class Simulator:
             self._loop(until, -1, True)
         elif max_events > 0:
             self._loop(until, max_events, False)
+        elif until != until:  # no budget skips _loop and its NaN check
+            raise SimulationError("run horizon is NaN")
         return self._now
 
     def run_guarded(self, until, max_wall=None, check_every=1024,

@@ -155,8 +155,8 @@ class TestJointCheckpointUnderBatchDrain:
     @staticmethod
     def _restore_sources(sources, snaps):
         # The simulator snapshot already holds each source's pending
-        # emission event by reference, so restore only the internal
-        # timetable/counters — a re-schedule here would double-emit.
+        # emission event by reference, so restore only the counters and
+        # RNG state — a re-schedule here would double-emit.
         for src, snap in zip(sources, snaps):
             src.restore(dict(snap, pending_time=None))
 

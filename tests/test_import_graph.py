@@ -5,9 +5,10 @@ crash, each spawned ``repro sim --shards N`` worker — pays for the modules
 it imports, and without cached bytecode it compiles each of them.  So
 every entry point loads only what its run uses: the packages export their
 names lazily (:mod:`repro._lazy`), a serve or shard cell imports only the
-scheduler class its spec names, and the CLI parser loads neither the
-shard driver nor ``multiprocessing``.  Everything a run needs still loads
-while it is built, never for the first time inside its loop.
+scheduler class its spec names, the CLI parser loads neither the shard
+driver nor ``multiprocessing``, and Figure 2 runs inline.  Everything a
+run needs still loads while it is built, never for the first time inside
+its loop.
 
 The package has no third-party dependency, so no entry point may load
 numpy, ``repro.analysis`` included.
@@ -90,8 +91,8 @@ def test_flat_run_loads_one_scheduler_and_no_subsystem():
         "repro.core", "repro.core.flow", "repro.core.packet",
         "repro.core.scheduler", "repro.core.wf2qplus"}
     assert under(loaded, "repro.obs") == {"repro.obs", "repro.obs.events"}
-    for package in ("serve", "shard", "faults", "bench", "experiments",
-                    "analysis", "tcp"):
+    for package in ("serve", "shard", "faults", "experiments", "analysis",
+                    "tcp"):
         assert not under(loaded, f"repro.{package}"), package
 
 
@@ -112,7 +113,6 @@ def test_service_runner_start_loads_no_shard_driver_or_bench():
     """))
     assert loaded & FLAT_SCHEDULER_MODULES == {"repro.core.wf2qplus"}
     assert not {"multiprocessing", "concurrent.futures"} & loaded
-    assert not under(loaded, "repro.bench")
     assert not {"repro.shard.driver", "repro.shard.merge",
                 "repro.shard.partition", "repro.shard.scenarios"} & loaded
     assert not {"repro.faults.chaos", "repro.faults.plan"} & loaded
@@ -141,7 +141,21 @@ def test_cli_parser_loads_no_shard_driver_or_multiprocessing():
     """))
     assert not {"multiprocessing", "concurrent.futures",
                 "repro.shard.driver"} & loaded
-    assert not under(loaded, "repro.bench")
+
+
+def test_fig2_runs_inline():
+    loaded = set(fresh("""
+        import json, sys
+        from repro.core.wf2q import WF2QScheduler
+        from repro.core.wf2qplus import WF2QPlusScheduler
+        from repro.core.wfq import WFQScheduler
+        from repro.experiments.fig2 import run_fig2
+
+        out = run_fig2([WFQScheduler, WF2QScheduler, WF2QPlusScheduler])
+        assert len(out) == 4
+        print(json.dumps(sorted(sys.modules)))
+    """))
+    assert not {"multiprocessing", "concurrent.futures"} & loaded
 
 
 @pytest.fixture(scope="module")

@@ -1,4 +1,4 @@
-"""Unit tests for repro.shard: planner, merge/digest, CLI, bench family.
+"""Unit tests for repro.shard: planner, scenarios, merge/digest, CLI.
 
 The cross-process differential guarantees (sharded == single-process,
 migration-invariant digests) live in ``test_shard_differential.py``;
@@ -27,6 +27,7 @@ from repro.shard import (
     subtree_slices,
     validate_cells,
 )
+from repro.shard.scenarios import scenario_seed
 from repro.shard.worker import build_scheduler
 
 
@@ -205,6 +206,19 @@ class TestScenarios:
         assert [src["seed"] for cell in again["cells"]
                 for src in cell["sources"]] == seeds
 
+    def test_seed_is_deterministic_and_name_keyed(self):
+        assert scenario_seed("poisson:a") == scenario_seed("poisson:a")
+        assert scenario_seed("poisson:a") != scenario_seed("poisson:b")
+        assert 0 <= scenario_seed("poisson:a") < 2**32
+
+    def test_seed_mixes_the_request_index(self):
+        # Collision safety: even if two names shared a crc32, their seeds
+        # differ because the index is mixed in.
+        assert scenario_seed("poisson:a", 0) != scenario_seed("poisson:a", 1)
+        assert scenario_seed("poisson:a", 3) == scenario_seed("poisson:a", 3)
+        for index in range(8):
+            assert 0 <= scenario_seed("poisson:b", index) < 2**32
+
 
 # ----------------------------------------------------------------------
 # Scheduler specs, including keys written by earlier versions
@@ -362,35 +376,3 @@ class TestStatsCommand:
         assert "events: processed=" in out
         assert "elided=" in out
 
-
-# ----------------------------------------------------------------------
-# Bench family
-# ----------------------------------------------------------------------
-class TestShardedPipelineBench:
-    def test_quick_points(self, monkeypatch):
-        # Stub the driver: the real cross-process path is the
-        # differential suite's job; here we pin the point layout.
-        import repro.shard
-
-        calls = []
-
-        def fake_run(scenario, shards, **kwargs):
-            calls.append(shards)
-            return {"totals": {"packets_sent": 1000},
-                    "wall_seconds": 0.001 * shards}
-
-        monkeypatch.setattr(repro.shard, "run_sharded", fake_run)
-        from repro.bench.scenarios import scenario_sharded_pipeline
-
-        points = scenario_sharded_pipeline(quick=True)
-        assert [p.params["shards"] for p in points] == [1, 2]
-        for p in points:
-            assert p.scenario == "sharded_pipeline"
-            assert p.scheduler == "WF2Q+"
-            assert p.packets == 1000
-            assert p.ns_per_packet > 0
-
-    def test_registered(self):
-        from repro.bench.scenarios import SCENARIOS
-
-        assert "sharded_pipeline" in SCENARIOS

@@ -142,7 +142,7 @@ class TestMigration:
 
     def test_cross_process_migration_digest_unchanged(self):
         # Poisson sources: the resumed worker must also restore RNG
-        # state exactly, not just the emission timetable.
+        # state exactly, not just the pending emission time.
         params = dict(flows=8, cells=2, duration=0.004)
         base = run_sharded("poisson_mix", shards=1, **params)
         migrated = run_sharded("poisson_mix", shards=2, mp_context=FORK,

@@ -93,6 +93,9 @@ class TestRun:
         sim.schedule(5.0, out.append, 5)
         with pytest.raises(SimulationError):
             run(sim, float("nan"))
+        # A run with no event budget fires nothing, but checks its horizon.
+        with pytest.raises(SimulationError):
+            sim.run(until=float("nan"), max_events=0)
         assert out == []
         assert sim.now == 0.0
         # The simulator is still usable, and a past horizon is a no-op.
